@@ -205,17 +205,20 @@ let stream_memory () =
   row "%14s %14s %10s\n" "subscriptions" "time(ms)" "matched";
   List.iter
     (fun k ->
-      let eng = Streamq.Filter_engine.create () in
-      for i = 0 to k - 1 do
+      let index = Subscribe.Index.create () in
+      for id = 0 to k - 1 do
+        let p =
+          Streamq.Path_pattern.random ~seed:id ~length:(1 + (id mod 3))
+            ~labels:[| "site"; "item"; "person"; "mail"; "name"; "bidder"; "zzz" |]
+            ()
+        in
         ignore
-          (Streamq.Filter_engine.subscribe eng
-             (Streamq.Path_pattern.random ~seed:i ~length:(1 + (i mod 3))
-                ~labels:
-                  [| "site"; "item"; "person"; "mail"; "name"; "bidder"; "zzz" |]
-                ()))
+          (Subscribe.Index.register index ~id
+             (Treequery.Engine.Xpath_query (Streamq.Path_pattern.to_xpath p)))
       done;
-      let t_match = time (fun () -> Streamq.Filter_engine.match_document eng t) in
-      let matched = List.length (Streamq.Filter_engine.match_document eng t) in
+      let session = Subscribe.Index.session index in
+      let t_match = time (fun () -> Subscribe.Index.match_tree session t) in
+      let matched = List.length (Subscribe.Index.match_tree session t) in
       row "%14d %14.2f %10d\n" k (ms t_match) matched)
     [ 10; 100; 1000 ]
 

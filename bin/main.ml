@@ -283,13 +283,16 @@ let filter_cmd =
             Obs.Span.with_ "load-document" (fun () ->
                 load_document ~xml_file ~xml ~random ~xmark ~seed:common.seed)
           in
-          let engine = Streamq.Filter_engine.create () in
-          List.iter
-            (fun p ->
-              ignore
-                (Streamq.Filter_engine.subscribe engine (Streamq.Path_pattern.of_string p)))
+          (* one standing query per pattern, registered under its
+             position; a repeated pattern shares its index entry *)
+          let index = Subscribe.Index.create () in
+          List.iteri
+            (fun id p ->
+              let pattern = Streamq.Path_pattern.of_string p in
+              let query = Engine.Xpath_query (Streamq.Path_pattern.to_xpath pattern) in
+              ignore (Subscribe.Index.register index ~id query))
             patterns;
-          (doc, Streamq.Filter_engine.match_document engine doc))
+          (doc, Subscribe.Index.match_tree (Subscribe.Index.session index) doc))
     in
     Printf.printf "document: %d nodes, depth %d\n" (Tree.size doc) (Tree.height doc);
     List.iteri
@@ -680,7 +683,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "dump-flight" ] ~doc:"Write the flight-recorder dump even when no trigger fired.")
   in
   let inject_overbudget_arg =
-    Arg.(value & flag & info [ "inject-overbudget" ] ~doc:"Fault injection: burn un-priced counter work inside every served request so its observed cost exceeds the admission bound; the run must then trip the residual gate (used by the telemetry smoke tests).")
+    Arg.(value & flag & info [ "inject-overbudget" ] ~doc:"Fault injection: burn un-priced counter work inside every served plan's execution (each request, or each distinct plan with --batch) so its observed cost exceeds the admission bound; the run must then trip the residual gate (used by the telemetry smoke tests).")
   in
   let ops_listen_arg =
     Arg.(value & opt (some int) None & info [ "ops-listen" ] ~docv:"PORT" ~doc:"Serve the live ops plane on http://127.0.0.1:$(docv) for the duration of the run: /metrics (OpenMetrics), /healthz, /readyz, /statusz, /tracez and /flightz, fed by lock-free snapshots published on the --metrics-every cadence (default 1s). 0 binds an ephemeral port (printed at startup).")
@@ -943,7 +946,7 @@ let attest_cmd =
       Obs.Json.write_file out (Attest.to_json ~seed:common.seed ~tolerance outcomes);
       Printf.printf "report written to %s\n" out;
       if Attest.all_ok outcomes then `Ok ()
-      else `Error (false, "a fitted slope exceeds its claimed exponent")
+      else `Error (false, "a fitted slope exceeds its claimed exponent or a point its cap")
     end
   in
   let tolerance_arg =
@@ -953,7 +956,7 @@ let attest_cmd =
     Arg.(value & opt string "BENCH_pr5.json" & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the attestation report.")
   in
   let inject_arg =
-    Arg.(value & flag & info [ "inject" ] ~doc:"Also sweep a deliberately superlinear fault counter; the run is then expected to fail.")
+    Arg.(value & flag & info [ "inject" ] ~doc:"Also sweep a deliberately superlinear fault counter and an optimizer routed to its worst arm; the run is then expected to fail.")
   in
   let list_arg =
     Arg.(value & flag & info [ "list-bounds" ] ~doc:"List the registered complexity bounds and the claims they attest, then exit.")

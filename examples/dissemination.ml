@@ -1,8 +1,8 @@
 (* Selective dissemination of information (SDI) — the stream-processing
    application from the paper's introduction: many subscribers register
-   path queries; each incoming document is scanned ONCE, in document order,
-   with memory bounded by the document depth, and routed to the subscribers
-   whose query matches.
+   path queries in one standing-query index; each incoming document is
+   scanned ONCE, in document order, with memory bounded by the document
+   depth, and routed to the subscribers whose query matches.
 
    Run with:  dune exec examples/dissemination.exe *)
 
@@ -19,17 +19,18 @@ let subscriptions =
   ]
 
 let () =
-  (* register the subscriptions *)
-  let engine = Streamq.Filter_engine.create () in
+  (* register the subscriptions: subscription [id] is the id-th pattern,
+     and every path spine merges into the index's shared prefix trie *)
+  let index = Subscribe.Index.create () in
   let ids =
-    List.map
-      (fun (who, pattern) ->
-        let id =
-          Streamq.Filter_engine.subscribe engine (Streamq.Path_pattern.of_string pattern)
-        in
+    List.mapi
+      (fun id (who, pattern) ->
+        let path = Streamq.Path_pattern.(to_xpath (of_string pattern)) in
+        ignore (Subscribe.Index.register index ~id (Treequery.Engine.Xpath_query path));
         (id, who, pattern))
       subscriptions
   in
+  let session = Subscribe.Index.session index in
   Printf.printf "%d subscriptions registered.\n\n" (List.length ids);
 
   (* a stream of incoming documents (XMark-like auction sites of varying
@@ -39,7 +40,7 @@ let () =
   in
   List.iter
     (fun (seed, doc) ->
-      let matched = Streamq.Filter_engine.match_document engine doc in
+      let matched = Subscribe.Index.match_tree session doc in
       Printf.printf "document #%d (%d nodes, depth %d) -> deliver to: %s\n" seed
         (Tree.size doc) (Tree.height doc)
         (if matched = [] then "(nobody)"

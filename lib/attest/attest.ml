@@ -10,6 +10,7 @@
    check).  The sweeps reuse the bench generators: fixed seeds make every
    point an exact machine-independent expectation. *)
 
+module Engine = Treequery.Engine
 module Generator = Treekit.Generator
 module Q = Cqtree.Query
 
@@ -57,9 +58,10 @@ let b_optimizer =
     ~counter:"optimizer_picked_cost" ~term:"|D|" ~exponent:1.0
 
 (* ------------------------------------------------------------------ *)
-(* Sweeps.  Each returns (term, counter) points measured on fresh
+(* Sweeps.  Each returns (term, counter, cap) points measured on fresh
    observability state; [read c] is the counter's value after the traced
-   run. *)
+   run, and [cap] the pointwise ceiling the claim puts on it ([infinity]
+   where the paper gives none). *)
 
 let read name =
   match List.assoc_opt name (Obs.Counter.snapshot ()) with
@@ -71,6 +73,8 @@ let traced f =
   Obs.with_enabled true f
 
 let sizes = [ 2_000; 4_000; 8_000; 16_000 ]
+
+let uncapped sweep ~seed = List.map (fun (x, y) -> (x, y, infinity)) (sweep ~seed)
 
 let tree_of ~seed n =
   Generator.random ~seed:((seed * 1009) + (n * 13) + 1) ~n
@@ -103,7 +107,8 @@ let sweep_hornsat ~seed =
 
 (* Boolean descendant chains of growing length over a fixed document:
    the reducer runs 2 passes over the join tree's edges, so the counter
-   must stay within 2*atoms pointwise and scale linearly in |Q| *)
+   must stay within 2*atoms pointwise (Prop. 4.2) and scale linearly in
+   |Q| *)
 let chain_cq k =
   let v i = Printf.sprintf "V%d" i in
   let atoms =
@@ -120,7 +125,8 @@ let sweep_semijoin ~seed =
       traced (fun () -> ignore (Cqtree.Yannakakis.boolean q t));
       let v = read "semijoin_passes" in
       Obs.reset ();
-      (float_of_int (Q.atom_count q), v))
+      let atoms = float_of_int (Q.atom_count q) in
+      (atoms, v, 2.0 *. atoms))
     (* longer chains: passes and atoms differ by an affine offset, so the
        log-log slope only converges to 1 once k dominates the constant *)
     [ 4; 8; 16; 32 ]
@@ -147,7 +153,9 @@ let sweep_stream ~seed:_ =
           ignore (Streamq.Path_matcher.run t p ~on_match:(fun _ -> ())));
       let v = read "stream_peak_depth" in
       Obs.reset ();
-      (float_of_int (Treekit.Tree.height t + 1), v))
+      (* the matcher buffers at most one frame per level *)
+      let depth = float_of_int (Treekit.Tree.height t + 1) in
+      (depth, v, depth))
     [ 6; 8; 10; 12 ]
 
 (* a closed-loop warm-cache serve run: the misses are exactly the
@@ -185,8 +193,14 @@ let sweep_xpath ~seed =
    converged pick and charge the elementary operations that execution
    burned to [optimizer_picked_cost].  Every plausible arm of the shape
    is linear in |D| (the quadratic FO² embedding prices itself out of
-   the plausible set), so whichever arm the observed latencies crown,
-   the fitted slope must stay linear. *)
+   the plausible set), so whichever arm the optimizer crowns, the fitted
+   slope must stay linear; and the pick's work must not exceed the least
+   work any plausible arm does on that document (the point's cap).
+
+   Convergence is a pure function of the seed: each execution's
+   counter work — the quantity the bound charges — is recorded in the
+   optimizer's cost store as both its latency and its cost, and the
+   store's clock is frozen so its EWMA is the plain mean. *)
 let c_picked_cost = Obs.Counter.make "optimizer_picked_cost"
 
 let counter_delta before after =
@@ -200,41 +214,56 @@ let sweep_optimizer_with ~invert ~sizes ~seed =
   List.map
     (fun n ->
       let t = tree_of ~seed n in
+      (* built up front: a lazily-built label index would charge its
+         one-time construction to whichever arm ran first *)
+      Treekit.Tree.seal t;
       (* [following]: the bottom-up/Yannakakis arms stay linear per axis
          image, but the FO² embedding materialises the axis {e relation}
          — ~n²/2 Following pairs — so a forced bad pick is provably
          quadratic while the honest pick stays linear *)
-      let q = Treequery.Engine.parse_xpath "//a/following::b" in
-      let default = Treequery.Engine.prepare q in
-      let opt = Optimizer.create ~epsilon:0.0 ~invert ~seed () in
-      traced (fun () ->
-          (* explore until the entry converges; the inverted optimizer
-             never converges — its every decision is already the forced
-             worst arm, which is exactly what the fault injects *)
-          let converged = ref invert and guard = ref 0 in
-          while (not !converged) && !guard < 32 do
-            incr guard;
+      let q = Engine.parse_xpath "//a/following::b" in
+      let default = Engine.prepare q in
+      let store = Telemetry.Cost_store.create ~clock:(fun () -> 0.0) () in
+      let opt = Optimizer.create ~epsilon:0.0 ~invert ~seed ~store () in
+      let work (p : Engine.prepared) =
+        let before = Obs.Counter.snapshot () in
+        ignore (p.Engine.exec t);
+        counter_delta before (Obs.Counter.snapshot ())
+      in
+      let floor =
+        traced (fun () ->
+            (* explore until the entry converges; the inverted optimizer
+               never converges — its every decision is already the forced
+               worst arm, which is exactly what the fault injects *)
+            let converged = ref invert and guard = ref 0 in
+            while (not !converged) && !guard < 32 do
+              incr guard;
+              let d = Optimizer.decide opt t default in
+              let strategy = Engine.strategy_name d.Optimizer.d_strategy in
+              let w = float_of_int (work d.Optimizer.d_prepared) in
+              ignore
+                (Telemetry.Cost_store.observe store ~fingerprint:default.Engine.fp
+                   ~strategy ~predicted:0.0 ~observed:w ~latency:w ~counters:[]);
+              match
+                Optimizer.observe opt ~canon:default.Engine.canon ~strategy ~cost:w
+              with
+              | Some _ -> converged := true
+              | None -> ()
+            done;
             let d = Optimizer.decide opt t default in
-            let t0 = Obs.now () in
-            ignore (d.Optimizer.d_prepared.Treequery.Engine.exec t);
-            let dt = Obs.now () -. t0 in
-            match
-              Optimizer.observe opt ~canon:default.Treequery.Engine.canon
-                ~strategy:
-                  (Treequery.Engine.strategy_name d.Optimizer.d_strategy)
-                ~latency:dt ~cost:dt
-            with
-            | Some _ -> converged := true
-            | None -> ()
-          done;
-          let d = Optimizer.decide opt t default in
-          let before = Obs.Counter.snapshot () in
-          ignore (d.Optimizer.d_prepared.Treequery.Engine.exec t);
-          let after = Obs.Counter.snapshot () in
-          Obs.Counter.add c_picked_cost (counter_delta before after));
+            Obs.Counter.add c_picked_cost (work d.Optimizer.d_prepared);
+            (* the cap: the least work of any plausible arm *)
+            List.fold_left
+              (fun acc (a : Optimizer.arm_report) ->
+                match Engine.strategy_of_name a.Optimizer.r_strategy with
+                | Some s when a.Optimizer.r_explorable ->
+                  Float.min acc (float_of_int (work (Engine.prepare_with s q)))
+                | _ -> acc)
+              infinity (List.hd (Optimizer.report opt)).Optimizer.r_arms)
+      in
       let v = read "optimizer_picked_cost" in
       Obs.reset ();
-      (float_of_int n, v))
+      (float_of_int n, v, floor))
     sizes
 
 let sweep_optimizer ~seed = sweep_optimizer_with ~invert:false ~sizes ~seed
@@ -259,8 +288,9 @@ let sweep_injected ~seed:_ =
 
 (* --inject, second fault: an optimizer whose every decision routes to
    the worst-estimated arm — on XPath that is the O(n²·|Q|) FO²
-   embedding, so the same never-worse gate must fail.  Smaller sizes:
-   the whole point is that the forced arm does quadratic work. *)
+   embedding, so the same never-worse gate must fail, on the slope and
+   on the per-size cap.  Smaller sizes: the whole point is that the
+   forced arm does quadratic work. *)
 let injected_pick_bound () =
   Obs.Bound.register ~id:"injected-bad-pick"
     ~claim:"(fault injection) optimizer forced onto the quadratic FO2 arm"
@@ -271,31 +301,23 @@ let sweep_injected_pick ~seed =
 
 (* ------------------------------------------------------------------ *)
 
-type spec = {
-  bound : Obs.Bound.t;
-  sweep : seed:int -> (float * float) list;
-  envelope : (float -> float) option;
-      (* pointwise cap on the counter, where the paper gives an exact
-         one (Prop. 4.2: passes <= 2*atoms; streaming: peak <= depth) *)
-}
+type spec = { bound : Obs.Bound.t; sweep : seed:int -> (float * float * float) list }
 
 let specs =
   [
-    { bound = b_datalog; sweep = sweep_datalog; envelope = None };
-    { bound = b_hornsat; sweep = sweep_hornsat; envelope = None };
-    { bound = b_semijoin; sweep = sweep_semijoin;
-      envelope = Some (fun atoms -> 2.0 *. atoms) };
-    { bound = b_structural; sweep = sweep_structural; envelope = None };
-    { bound = b_stream; sweep = sweep_stream;
-      envelope = Some (fun depth -> depth) };
-    { bound = b_plan_cache; sweep = sweep_plan_cache; envelope = None };
-    { bound = b_xpath; sweep = sweep_xpath; envelope = None };
-    { bound = b_optimizer; sweep = sweep_optimizer; envelope = None };
+    { bound = b_datalog; sweep = uncapped sweep_datalog };
+    { bound = b_hornsat; sweep = uncapped sweep_hornsat };
+    { bound = b_semijoin; sweep = sweep_semijoin };
+    { bound = b_structural; sweep = uncapped sweep_structural };
+    { bound = b_stream; sweep = sweep_stream };
+    { bound = b_plan_cache; sweep = uncapped sweep_plan_cache };
+    { bound = b_xpath; sweep = uncapped sweep_xpath };
+    { bound = b_optimizer; sweep = sweep_optimizer };
   ]
 
 type outcome = {
   bound : Obs.Bound.t;
-  points : (float * float) list;
+  points : (float * float * float) list;
   slope : float;
   slope_ok : bool;
   envelope_ok : bool;
@@ -309,9 +331,8 @@ let run ?(inject = false) ~seed ~tolerance () =
     if inject then
       specs
       @ [
-          { bound = injected_bound (); sweep = sweep_injected; envelope = None };
-          { bound = injected_pick_bound (); sweep = sweep_injected_pick;
-            envelope = None };
+          { bound = injected_bound (); sweep = uncapped sweep_injected };
+          { bound = injected_pick_bound (); sweep = sweep_injected_pick };
         ]
     else specs
   in
@@ -323,23 +344,24 @@ let run ?(inject = false) ~seed ~tolerance () =
       List.map
         (fun s ->
           let points = s.sweep ~seed in
-          let slope = Obs.Bound.fit_slope points in
+          let slope = Obs.Bound.fit_slope (List.map (fun (x, y, _) -> (x, y)) points) in
           {
             bound = s.bound;
             points;
             slope;
             slope_ok = slope <= s.bound.Obs.Bound.exponent +. tolerance;
-            envelope_ok =
-              (match s.envelope with
-              | None -> true
-              | Some cap -> List.for_all (fun (x, y) -> y <= cap x) points);
+            envelope_ok = List.for_all (fun (_, y, cap) -> y <= cap) points;
           })
         specs)
 
 let all_ok = List.for_all outcome_ok
 
 let to_json ~seed ~tolerance outcomes =
-  let point (x, y) = Obs.Json.Obj [ ("term", Obs.Json.Num x); ("counter", Obs.Json.Num y) ] in
+  let point (x, y, cap) =
+    Obs.Json.Obj
+      ([ ("term", Obs.Json.Num x); ("counter", Obs.Json.Num y) ]
+      @ if Float.is_finite cap then [ ("cap", Obs.Json.Num cap) ] else [])
+  in
   Obs.Json.Obj
     [
       ("seed", Obs.Json.Num (float_of_int seed));
@@ -377,7 +399,9 @@ let to_text outcomes =
         (if o.envelope_ok then "" else "  ENVELOPE EXCEEDED");
       Printf.bprintf buf "       %s\n" o.bound.Obs.Bound.claim;
       List.iter
-        (fun (x, y) -> Printf.bprintf buf "       %12.0f -> %12.0f\n" x y)
+        (fun (x, y, cap) ->
+          Printf.bprintf buf "       %12.0f -> %12.0f%s\n" x y
+            (if Float.is_finite cap then Printf.sprintf "  (cap %.0f)" cap else ""))
         o.points)
     outcomes;
   Printf.bprintf buf "%d/%d bounds attested\n"

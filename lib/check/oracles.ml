@@ -532,9 +532,9 @@ let plan_cache =
    fixed strategy the query admits, node set and boolean alike.  The
    optimizer and cache are shared across cases so repeated shapes hit
    warm entries with stored picks: one sweep exercises both states.
-   Observations are fed back with the seeded estimate as a deterministic
-   pseudo-latency, so convergence (and hence the routing sequence) is a
-   pure function of the case stream — seed-replayable. *)
+   No cost store is attached, so the optimizer ranks arms by their
+   seeded estimates and convergence (and hence the routing sequence) is
+   a pure function of the case stream — seed-replayable. *)
 let optimizer_pick =
   let shared =
     lazy
@@ -574,12 +574,11 @@ let optimizer_pick =
           let auto_set = auto.E.exec c.tree in
           let auto_bool = auto.E.exec_boolean c.tree in
           (* close the loop the way the serving layer does, with the
-             estimate standing in for latency so routing stays
+             estimate standing in for cost so routing stays
              deterministic; a convergence persists the pick *)
           (match
              Optimizer.observe opt ~canon
                ~strategy:(E.strategy_name d.Optimizer.d_strategy)
-               ~latency:(d.Optimizer.d_estimate /. 5e7)
                ~cost:d.Optimizer.d_estimate
            with
           | Some (strategy, cost) ->

@@ -391,18 +391,21 @@ module Scope = struct
   let reset () = captured () := []
 
   (* [Counter.read], not [.value]: inside a worker's shard the snapshot
-     must include the shard contribution or every delta would be zero *)
+     must include the shard contribution or every delta would be zero.
+     Indexed by [Counter.idx], the layout [Cshard] uses. *)
   let snapshot_values () =
-    List.map (fun (c : Counter.t) -> (c, Counter.read c)) !Counter.registry
+    let a = Array.make !Counter.next_idx 0 in
+    List.iter
+      (fun (c : Counter.t) -> a.(c.Counter.idx) <- Counter.read c)
+      !Counter.registry;
+    a
 
   let deltas before =
     !Counter.registry
     |> List.filter_map (fun (c : Counter.t) ->
-           let b =
-             match List.find_opt (fun (c', _) -> c' == c) before with
-             | Some (_, v) -> v
-             | None -> 0 (* counter registered inside the scope *)
-           in
+           (* a counter registered inside the scope started at 0 *)
+           let i = c.Counter.idx in
+           let b = if i < Array.length before then before.(i) else 0 in
            let d = Counter.read c - b in
            if d <> 0 then Some (c.Counter.name, d) else None)
     |> List.sort compare

@@ -103,6 +103,15 @@ let estimate stats (p : Engine.prepared) =
 (* ------------------------------------------------------------------ *)
 (* Bandit state                                                         *)
 
+(* elementary operations per second: converts seeded estimates into
+   pseudo-latencies comparable with observed seconds, and prices
+   admission control's deadline budget in the serving layer *)
+let ops_per_second = 5e7
+
+(* the plausible set: arms whose estimate is within this factor of the
+   best; the rest are never explored *)
+let explore_span = 16.0
+
 type arm = {
   strategy : Engine.strategy;
   name : string;
@@ -110,7 +119,6 @@ type arm = {
   arm_estimate : float;
   explorable : bool;  (* estimate within [explore_span] of the best *)
   mutable trials : int;
-  mutable ewma_latency : float;  (* seconds; own estimate, store-refreshed *)
   mutable cost_total : float;  (* observed profile counter ops *)
 }
 
@@ -125,8 +133,6 @@ type entry = {
 type t = {
   epsilon : float;
   min_trials : int;
-  explore_span : float;
-  ops_per_second : float;
   invert : bool;
   rng : Random.State.t;
   store : Telemetry.Cost_store.t option;
@@ -136,19 +142,15 @@ type t = {
   mutable total_explorations : int;
 }
 
-let create ?(epsilon = 0.1) ?(min_trials = 2) ?(explore_span = 16.0)
-    ?(ops_per_second = 5e7) ?(seed = 0) ?(invert = false) ?store () =
+let create ?(epsilon = 0.1) ?(min_trials = 2) ?(seed = 0) ?(invert = false)
+    ?store () =
   if epsilon < 0.0 || epsilon > 1.0 then
     invalid_arg "Optimizer.create: epsilon must be in [0, 1]";
   if min_trials < 1 then
     invalid_arg "Optimizer.create: min_trials must be >= 1";
-  if explore_span < 1.0 then
-    invalid_arg "Optimizer.create: explore_span must be >= 1";
   {
     epsilon;
     min_trials;
-    explore_span;
-    ops_per_second;
     invert;
     rng = Random.State.make [| seed; 0x0b71 |];
     store;
@@ -192,9 +194,8 @@ let entry_of t tree (default : Engine.prepared) =
                name = Engine.strategy_name s;
                prepared = p;
                arm_estimate = est;
-               explorable = est <= best *. t.explore_span;
+               explorable = est <= best *. explore_span;
                trials = 0;
-               ewma_latency = 0.0;
                cost_total = 0.0;
              })
            with_estimates)
@@ -212,21 +213,16 @@ let entry_of t tree (default : Engine.prepared) =
     e
 
 (* an arm's current score, as (pseudo-)latency: the cost store's EWMA
-   when telemetry saw the cell, the optimizer's own EWMA otherwise, and
-   the seeded estimate converted at [ops_per_second] before any trial *)
+   once the store has seen the cell, the seeded estimate converted at
+   [ops_per_second] otherwise — so an optimizer without a store ranks by
+   estimate *)
 let score t (e : entry) (a : arm) =
-  let from_store =
-    match t.store with
-    | Some store ->
-      Telemetry.Cost_store.ewma_latency store ~fingerprint:e.fp
-        ~strategy:a.name
-    | None -> None
-  in
-  match from_store with
+  match
+    Option.bind t.store (fun store ->
+        Telemetry.Cost_store.ewma_latency store ~fingerprint:e.fp ~strategy:a.name)
+  with
   | Some l -> l
-  | None ->
-    if a.trials > 0 then a.ewma_latency
-    else a.arm_estimate /. t.ops_per_second
+  | None -> a.arm_estimate /. ops_per_second
 
 let argmin_by f arms =
   let best = ref arms.(0) and best_v = ref (f arms.(0)) in
@@ -358,11 +354,7 @@ let seeded_decision t tree (default : Engine.prepared) =
       Array.to_list (Array.map (fun a -> (a.name, a.arm_estimate)) e.arms);
   }
 
-(* EWMA weight for the optimizer's own latency estimate (used when no
-   cost store refreshes the arm): recent-biased but stable *)
-let alpha = 0.3
-
-let observe t ~canon ~strategy ~latency ~cost =
+let observe t ~canon ~strategy ~cost =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.entries canon with
   | None -> None
@@ -371,10 +363,7 @@ let observe t ~canon ~strategy ~latency ~cost =
     | None -> ()
     | Some a ->
       a.trials <- a.trials + 1;
-      a.cost_total <- a.cost_total +. cost;
-      a.ewma_latency <-
-        (if a.trials = 1 then latency
-         else (alpha *. latency) +. ((1.0 -. alpha) *. a.ewma_latency)));
+      a.cost_total <- a.cost_total +. cost);
     let explorable = List.filter (fun a -> a.explorable) (Array.to_list e.arms) in
     let explorable = if explorable = [] then Array.to_list e.arms else explorable in
     if List.for_all (fun a -> a.trials >= t.min_trials) explorable then begin
@@ -398,7 +387,7 @@ type arm_report = {
   r_strategy : string;
   r_estimate : float;
   r_trials : int;
-  r_ewma_latency : float;
+  r_score : float;  (* what the argmin ranks by, seconds *)
   r_mean_cost : float;
   r_explorable : bool;
 }
@@ -437,7 +426,7 @@ let report t =
                    r_strategy = a.name;
                    r_estimate = a.arm_estimate;
                    r_trials = a.trials;
-                   r_ewma_latency = a.ewma_latency;
+                   r_score = score t e a;
                    r_mean_cost =
                      (if a.trials > 0 then
                         a.cost_total /. float_of_int a.trials
@@ -500,8 +489,7 @@ let to_json t =
                                 ("strategy", Obs.Json.Str a.r_strategy);
                                 ("estimate", Obs.Json.Num a.r_estimate);
                                 ("trials", Obs.Json.Num (float_of_int a.r_trials));
-                                ( "ewma_latency_ms",
-                                  Obs.Json.Num (a.r_ewma_latency *. 1000.0) );
+                                ("score_ms", Obs.Json.Num (a.r_score *. 1000.0));
                                 ("mean_cost", Obs.Json.Num a.r_mean_cost);
                                 ("explorable", Obs.Json.Bool a.r_explorable);
                               ])

@@ -10,15 +10,18 @@
     index.
 
     Decisions are epsilon-greedy over the {e plausible set} (arms whose
-    estimate is within [explore_span] of the best): each plausible arm
-    is tried [min_trials] times — mostly round-robin, an [epsilon] of
+    estimate is within a factor 16 of the best): each plausible arm is
+    tried [min_trials] times — mostly round-robin, an [epsilon] of
     uniform draws — after which the entry {e converges} and every later
-    decision is the argmin by observed latency.  Latency comes from the
-    {!Telemetry.Cost_store} EWMA when a store is attached (so routing
-    tracks the same online estimate the sketches export) and from the
-    optimizer's own per-arm EWMA otherwise.  With [epsilon = 0] and
-    deterministic latencies the whole process is deterministic, and a
-    converged entry never regresses.
+    decision is the argmin by latency.  An arm's latency is the
+    {!Telemetry.Cost_store} EWMA of the store given to {!create}, so
+    routing tracks the same online estimate the sketches export; a caller
+    that learns from observations records them into the store before
+    {!observe}.  Until the store has seen an arm — and always, when no
+    store is attached — the arm ranks by its seeded estimate at
+    {!ops_per_second}.  With [epsilon = 0] and deterministic latencies
+    the whole process is deterministic, and a converged entry never
+    regresses.
 
     Implausible arms — e.g. the O(n²·|Q|) FO² embedding on a large
     document — are never explored: their seeded estimate already rules
@@ -51,13 +54,16 @@ val selectivity : Stats.t -> Treequery.Engine.query -> float
 val estimate : Stats.t -> Treequery.Engine.prepared -> float
 (** The seeded cost estimate for one arm, in elementary operations. *)
 
+val ops_per_second : float
+(** [5e7] elementary operations per second: converts seeded estimates
+    into pseudo-latencies comparable with observed seconds, and prices
+    the serving layer's admission budget ([deadline × ops_per_second]). *)
+
 type t
 
 val create :
   ?epsilon:float ->
   ?min_trials:int ->
-  ?explore_span:float ->
-  ?ops_per_second:float ->
   ?seed:int ->
   ?invert:bool ->
   ?store:Telemetry.Cost_store.t ->
@@ -65,27 +71,23 @@ val create :
   t
 (** [epsilon] (default 0.1) is the warm-up exploration rate — pass [0.]
     for fully deterministic routing; [min_trials] (default 2) is the
-    per-plausible-arm trial count before convergence; [explore_span]
-    (default 16) bounds the plausible set (arms within this factor of
-    the best estimate); [ops_per_second] (default 5e7) converts seeded
-    estimates into pseudo-latencies comparable with observed seconds;
-    [seed] drives the epsilon draws; [store] attaches the telemetry
-    cost store the argmin reads EWMAs from (and pick counters are
-    reported to).
+    per-plausible-arm trial count before convergence; [seed] drives the
+    epsilon draws; [store] attaches the telemetry cost store the argmin
+    reads latency EWMAs from (and pick counters are reported to).
 
     [invert] is fault injection for the attestation gate: every
     decision routes to the {e worst} estimated arm, which on XPath
     inputs forces the quadratic FO² embedding and makes the
     never-worse slope bound provably fail.
 
-    Raises [Invalid_argument] on [epsilon] outside [0,1],
-    [min_trials < 1], or [explore_span < 1]. *)
+    Raises [Invalid_argument] on [epsilon] outside [0,1] or
+    [min_trials < 1]. *)
 
 type reason =
   | Only_candidate  (** single arm; nothing to pick *)
   | Cached_pick  (** warm [?pinned] pick honored, exploration skipped *)
   | Exploring  (** warm-up: an under-tried plausible arm *)
-  | Converged  (** argmin by observed latency *)
+  | Converged  (** argmin by latency (store EWMA, else estimate) *)
   | Seeded  (** {!seeded_decision}: estimate argmin, no observations *)
   | Injected_worst  (** [invert] fault injection *)
 
@@ -114,14 +116,10 @@ val seeded_decision :
     [treequery explain --strategy auto] reports this. *)
 
 val observe :
-  t ->
-  canon:string ->
-  strategy:string ->
-  latency:float ->
-  cost:float ->
-  (string * float) option
-(** Feed back one executed request: [latency] in seconds, [cost] in
-    observed profile-counter ops.  Returns [Some (strategy, mean_cost)]
+  t -> canon:string -> strategy:string -> cost:float -> (string * float) option
+(** Feed back one executed request: [cost] in observed profile-counter
+    ops (its latency goes to the attached store, recorded first).
+    Returns [Some (strategy, mean_cost)]
     — the current best arm and its observed mean cost — once the entry
     has converged, so the caller can persist the pick
     ({!Serve.Plan_cache.set_pick}); [None] while still exploring or for
@@ -137,7 +135,7 @@ type arm_report = {
   r_strategy : string;
   r_estimate : float;
   r_trials : int;
-  r_ewma_latency : float;
+  r_score : float;  (** what the argmin ranks by, seconds *)
   r_mean_cost : float;
   r_explorable : bool;
 }

@@ -72,28 +72,30 @@ let streamable (p : Engine.prepared) =
   | Engine.Xpath_query path when Streamq.Xpath_filter.supported path -> Some path
   | _ -> None
 
-(* one event-stream pass deciding every streamable query in the batch;
-   returns [true] at rep index i iff that query certainly has an empty
-   answer *)
+(* one event-stream pass deciding every streamable query in the batch:
+   each streamable rep registers in a per-batch standing-query index
+   under its slot number (a rep the index classes [General] would be
+   evaluated, not streamed, so it leaves again); returns [true] at rep
+   index i iff that query certainly has an empty answer *)
 let stream_prune tree (reps : Engine.prepared array) =
   let empty = Array.make (Array.length reps) false in
+  let index = Subscribe.Index.create () in
   let subscribed = ref [] in
-  let fe = Streamq.Filter_engine.create () in
   Array.iteri
     (fun i p ->
       match streamable p with
       | Some path -> (
-        match Streamq.Filter_engine.subscribe_xpath fe path with
-        | Some id -> subscribed := (id, i) :: !subscribed
-        | None -> ())
+        match Subscribe.Index.register index ~id:i (Engine.Xpath_query path) with
+        | Subscribe.Index.General -> ignore (Subscribe.Index.unregister index ~id:i)
+        | _ -> subscribed := i :: !subscribed)
       | None -> ())
     reps;
   (* a lone streamable query gains nothing from an extra document pass *)
   if List.length !subscribed >= 2 then begin
-    let matched = Streamq.Filter_engine.match_document fe tree in
+    let fired = Subscribe.Index.match_tree (Subscribe.Index.session index) tree in
     List.iter
-      (fun (id, i) ->
-        if not (List.mem id matched) then begin
+      (fun i ->
+        if not (List.mem i fired) then begin
           empty.(i) <- true;
           Obs.Counter.incr c_pruned
         end)
@@ -141,51 +143,27 @@ let run_prepared ?pool ?(stream_prefilter = false) ?on_profile tree
        is per representative: the shared evaluation is attributed once,
        and the per-rep profile counters sum to at most the global
        snapshot (aliased requests ride along for free) *)
-    let exec_rep i (p : Engine.prepared) =
-      Obs.Scope.collect
-        ~attrs:
-          [
-            ("fingerprint", Obs.Str p.Engine.fp);
-            ("strategy", Obs.Str (Engine.strategy_name p.Engine.strategy));
-            ("aliased", Obs.Int (n - Array.length reps));
-          ]
-        (Printf.sprintf "rep-%d" i)
-        (fun () ->
-          if pruned_empty.(i) then Nodeset.create (Tree.size tree)
-          else p.Engine.exec tree)
-    in
-    match pool with
-    | Some pool when Pool.size pool > 1 && Array.length reps > 1 ->
-      (* parallel: each rep is one pool task under its own Obs shard;
-         shards merge on this domain in rep order once the job drained,
-         so counter totals and profile order match the sequential path *)
-      let tasks =
-        Array.mapi
-          (fun i (p : Engine.prepared) () ->
-            let sh = Obs.Shard.create () in
-            let answer, profile = Obs.Shard.run sh (fun () ->
-                let answer, profile = exec_rep i p in
-                Obs.Scope.note profile;
-                (answer, profile))
-            in
-            (answer, profile, sh))
-          reps
-      in
-      let results = Pool.run pool tasks in
-      Array.mapi
-        (fun i (answer, profile, sh) ->
-          Obs.Shard.merge sh;
-          (match on_profile with Some f -> f reps.(i) profile | None -> ());
-          answer)
-        results
-    | _ ->
-      Array.mapi
-        (fun i (p : Engine.prepared) ->
-          let answer, profile = exec_rep i p in
-          Obs.Scope.note profile;
-          (match on_profile with Some f -> f p profile | None -> ());
-          answer)
-        reps
+    Pool.mapi_sharded ?pool
+      (fun i (p : Engine.prepared) ->
+        let answer, profile =
+          Obs.Scope.collect
+            ~attrs:
+              [
+                ("fingerprint", Obs.Str p.Engine.fp);
+                ("strategy", Obs.Str (Engine.strategy_name p.Engine.strategy));
+                ("aliased", Obs.Int (n - Array.length reps));
+              ]
+            (Printf.sprintf "rep-%d" i)
+            (fun () ->
+              if pruned_empty.(i) then Nodeset.create (Tree.size tree)
+              else p.Engine.exec tree)
+        in
+        Obs.Scope.note profile;
+        (answer, profile))
+      reps
+    |> Array.mapi (fun i (answer, profile) ->
+           Option.iter (fun f -> f reps.(i) profile) on_profile;
+           answer)
   in
   {
     answers = Array.map (fun s -> rep_answers.(s)) slot;

@@ -11,15 +11,13 @@
       per-label seed scan afterwards is a cache hit;
     + {b stream prefilter} (opt-in) — when at least two distinct queries
       fall in the streamable conjunctive forward fragment (Section 5),
-      they are all subscribed to one {!Streamq.Filter_engine} and decided
+      they are registered in a per-batch {!Subscribe.Index} and decided
       in a single pass over the document's event stream; the non-matching
       ones short-circuit to the empty answer without touching the
-      evaluator (sound because
-      [Xpath_filter.matches t p ⇔ Eval.query t p ≠ ∅]).  Off by default:
-      with the output-sensitive evaluator, a per-batch O(‖A‖·Σ|Qᵢ|)
-      document pass only pays for itself when evaluations are expensive
-      (large outputs) or answers are discarded (SDI-style notification),
-      so the caller chooses.
+      evaluator (sound because the index's Boolean answer is
+      [Eval.query t p ≠ ∅]).  Off by default: the extra document pass
+      only pays for itself when many queries have empty answers, so the
+      caller chooses.
 
     Work done is recorded in the [serve_batch_*] / [serve_stream_pruned]
     observability counters and under a [serve:batch] span. *)
@@ -46,10 +44,10 @@ val run_prepared :
     {!Obs.Report.capture} either way.
 
     [pool] (with size > 1) evaluates the distinct representatives in
-    parallel across the pool's domains, one {!Obs.Shard} per rep, merged
-    (and [on_profile] called) in rep order on the calling domain after
-    the job drains — answers, counter totals and profile order are
-    identical to the sequential path.  Seal the tree
+    parallel through {!Pool.mapi_sharded}; [on_profile] is called in rep
+    order on the calling domain after the shards merged — answers,
+    counter totals and profile order are identical to the sequential
+    path.  Seal the tree
     ({!Treekit.Tree.seal}) before passing a pool; dedup, prewarm and the
     stream prefilter stay on the calling domain (prewarm doubles as the
     label-index seal point for the batch's labels). *)

@@ -146,14 +146,10 @@ let run cfg =
               Treekit.Generator.xmark ~rng:(doc_rng ~seed:cfg.seed i) ~scale:cfg.scale ()
             in
             Tree.seal tree;
-            (k, tree))
+            tree)
       in
-      let results =
-        match cfg.pool with
-        | Some pool when hi - !c > 1 ->
-          Pool.run pool (Array.map (fun (k, tree) -> fun () -> match_doc k tree) chunk)
-        | _ -> Array.map (fun (k, tree) -> match_doc k tree) chunk
-      in
+      (* slot [k] of the chunk matches through session [k] *)
+      let results = Pool.mapi_sharded ?pool:cfg.pool match_doc chunk in
       Array.iteri
         (fun k (fired, work) ->
           fired_per_doc.(!c + k) <- fired;

@@ -27,8 +27,10 @@ type config = {
   scale : int;  (** XMark scale of each generated document *)
   pool : Pool.t option;
       (** parallel per-document matching: chunks of [Pool.size] documents
-          matched concurrently, one {!Subscribe.Index.session} per slot;
-          [None] = sequential (chunk size 1) *)
+          matched concurrently through {!Pool.mapi_sharded}, one
+          {!Subscribe.Index.session} per slot — counters and spans come
+          out as in the sequential run; [None] = sequential (chunk
+          size 1) *)
   one_at_a_time : bool;
       (** evaluate every live registration's compiled plan per document
           instead of the shared index — the differential twin *)

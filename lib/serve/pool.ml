@@ -202,6 +202,24 @@ let run (type a) t (thunks : (unit -> a) array) : a array =
       results
   end
 
+let mapi_sharded ?pool f items =
+  match pool with
+  | Some t when t.size > 1 && Array.length items > 1 ->
+    let results =
+      run t
+        (Array.mapi
+           (fun i x () ->
+             let sh = Obs.Shard.create () in
+             (Obs.Shard.run sh (fun () -> f i x), sh))
+           items)
+    in
+    Array.map
+      (fun (y, sh) ->
+        Obs.Shard.merge sh;
+        y)
+      results
+  | _ -> Array.mapi f items
+
 let shutdown t =
   Mutex.lock t.lock;
   let ds = t.domains in

@@ -17,8 +17,9 @@
     Anything a task touches must be safe to read concurrently: trees
     {!Treekit.Tree.seal}ed before publication, prepared plans (immutable
     closures), and observability routed through per-task
-    {!Obs.Shard}s.  The pool itself makes no attempt to isolate
-    effects. *)
+    {!Obs.Shard}s.  {!run} makes no attempt to isolate effects;
+    {!mapi_sharded}, the loop every serving path uses, gives each task
+    its own shard. *)
 
 type t
 
@@ -40,6 +41,15 @@ val run : t -> (unit -> 'a) array -> 'a array
     one job at a time per pool; nested or concurrent {!run} calls raise
     [Invalid_argument].  With [size t = 1] (or a single task) this is
     exactly [Array.map (fun f -> f ()) tasks]. *)
+
+val mapi_sharded : ?pool:t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** [mapi_sharded ?pool f items] is [Array.mapi f items], the serving
+    layer's one parallel loop.  With a pool of size > 1 and more than one
+    item, each item is one pool task run under its own {!Obs.Shard}; once
+    the job drained, the shards merge on the calling domain in item
+    order, so counter totals, spans and scope profiles come out as on the
+    sequential path.  Otherwise the items run inline, in order, with no
+    shard.  Exceptions propagate as from {!run}. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; {!run} afterwards

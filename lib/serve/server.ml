@@ -8,7 +8,6 @@ type config = {
   share : bool;
   stream_prefilter : bool;
   deadline : float option;
-  ops_per_second : float;
   clock : unit -> float;
   telemetry : Telemetry.Cost_store.t option;
   recorder : Telemetry.Flight_recorder.t option;
@@ -42,18 +41,17 @@ type config = {
 }
 
 let config ?cache ?(concurrency = 1) ?(share = false)
-    ?(stream_prefilter = false) ?deadline ?(ops_per_second = 5e7)
-    ?(clock = Obs.now) ?telemetry ?recorder ?optimizer ?force_strategy
-    ?(inject_overbudget = false) ?tick_every ?on_tick ?pool
-    ?(wall_clock = false) ?(sleep = fun _ -> ()) () =
+    ?(stream_prefilter = false) ?deadline ?(clock = Obs.now) ?telemetry
+    ?recorder ?optimizer ?force_strategy ?(inject_overbudget = false)
+    ?tick_every ?on_tick ?pool ?(wall_clock = false) ?(sleep = fun _ -> ()) () =
   if concurrency < 1 then invalid_arg "Server.config: concurrency must be >= 1";
   (match tick_every with
   | Some e when e <= 0.0 -> invalid_arg "Server.config: tick_every must be > 0"
   | _ -> ());
   {
-    cache; concurrency; share; stream_prefilter; deadline; ops_per_second;
-    clock; telemetry; recorder; optimizer; force_strategy; inject_overbudget;
-    tick_every; on_tick; pool; wall_clock; sleep;
+    cache; concurrency; share; stream_prefilter; deadline; clock; telemetry;
+    recorder; optimizer; force_strategy; inject_overbudget; tick_every;
+    on_tick; pool; wall_clock; sleep;
   }
 
 let reject_reason = "degraded: naive bound exceeded"
@@ -64,9 +62,17 @@ let c_shed = Obs.Counter.make "serve_requests_shed"
 let c_residual = Obs.Counter.make "serve_residual_violations"
 
 (* the fault the telemetry smoke tests inject: work the admission bound
-   never priced, bumped inside the request's scope so the observed cost
-   provably exceeds the prediction *)
+   never priced — twice the bound, burned inside the plan's execution
+   (so inside the request's or rep's scope, in either serving mode) and
+   the observed cost provably exceeds the prediction *)
 let c_injected = Obs.Counter.make "serve_injected_work"
+
+let with_injected_work bound (p : Engine.prepared) =
+  let work = 2 * max 1 (int_of_float (Float.min bound 1e8)) in
+  Engine.with_exec p (fun tree ->
+      let answer = p.Engine.exec tree in
+      Obs.Counter.add c_injected work;
+      answer)
 
 let latency_hist = Obs.Histogram.make "serve_latency"
 
@@ -199,7 +205,7 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
     | Some opt -> (
       match
         Optimizer.observe opt ~canon:p.Engine.canon ~strategy:(strategy_of p)
-          ~latency ~cost:observed
+          ~cost:observed
       with
       | Some (strategy, cost) -> (
         match cfg.cache with
@@ -318,7 +324,7 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
               let bound = naive_bound prepared tree in
               let over_bound =
                 match cfg.deadline with
-                | Some d -> bound > d *. cfg.ops_per_second
+                | Some d -> bound > d *. Optimizer.ops_per_second
                 | None -> false
               in
               if over_bound then begin
@@ -352,6 +358,8 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
                     });
                 None
               end
+              else if cfg.inject_overbudget then
+                Some (r, with_injected_work bound prepared, bound)
               else Some (r, prepared, bound)
             end)
           chunk
@@ -360,30 +368,6 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
       | [] -> vnow := vstart
       | _ -> (
         let plans = Array.of_list (List.map (fun (_, p, _) -> p) admitted) in
-        (* one scope per request, so the counters each evaluation bumps
-           are attributed to that request's profile *)
-        let exec_one ((r : Workload.request), (p : Engine.prepared), bound) =
-          let t0 = cfg.clock () in
-          let answer, profile =
-            Obs.Scope.collect
-              ~attrs:
-                [
-                  ("fingerprint", Obs.Str p.Engine.fp);
-                  ("strategy", Obs.Str (strategy_of p));
-                ]
-              (Printf.sprintf "request-%d" r.Workload.id)
-              (fun () ->
-                let a = p.Engine.exec tree in
-                if cfg.inject_overbudget then
-                  (* un-priced work: double the admission
-                     bound, so observed/predicted ≥ 2 *)
-                  Obs.Counter.add c_injected
-                    (2 * max 1 (int_of_float (Float.min bound 1e8)));
-                a)
-          in
-          Obs.Scope.note profile;
-          (answer, profile, cfg.clock () -. t0)
-        in
         let execute () =
           if cfg.share then
             (* per-rep telemetry: the hook re-prices the rep (same bound
@@ -396,41 +380,30 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
             Batch.run_prepared ?pool:cfg.pool
               ~stream_prefilter:cfg.stream_prefilter ~on_profile tree plans
           else
+            let admitted = Array.of_list admitted in
+            (* one scope per request, so the counters each evaluation
+               bumps are attributed to that request's profile *)
             let answers =
-              match cfg.pool with
-              | Some pool when Pool.size pool > 1 && List.length admitted > 1 ->
-                (* each admitted request is one pool task under its own
-                   Obs shard; shards merge (and telemetry records) here
-                   on the admitting domain in admission order once the
-                   job drains, so counters, flight-recorder entries and
-                   answers match the sequential path *)
-                let adm = Array.of_list admitted in
-                let tasks =
-                  Array.map
-                    (fun item () ->
-                      let sh = Obs.Shard.create () in
-                      let out = Obs.Shard.run sh (fun () -> exec_one item) in
-                      (out, sh))
-                    adm
-                in
-                let results = Pool.run pool tasks in
-                Array.mapi
-                  (fun i ((answer, profile, wall), sh) ->
-                    Obs.Shard.merge sh;
-                    let (r : Workload.request), p, bound = adm.(i) in
-                    record_telemetry ~id:r.Workload.id ~p ~bound ~profile
-                      ~wall;
-                    answer)
-                  results
-              | _ ->
-                Array.of_list
-                  (List.map
-                     (fun (((r : Workload.request), p, bound) as item) ->
-                       let answer, profile, wall = exec_one item in
-                       record_telemetry ~id:r.Workload.id ~p ~bound ~profile
-                         ~wall;
-                       answer)
-                     admitted)
+              Pool.mapi_sharded ?pool:cfg.pool
+                (fun _ ((r : Workload.request), (p : Engine.prepared), _) ->
+                  let t0 = cfg.clock () in
+                  let answer, profile =
+                    Obs.Scope.collect
+                      ~attrs:
+                        [
+                          ("fingerprint", Obs.Str p.Engine.fp);
+                          ("strategy", Obs.Str (strategy_of p));
+                        ]
+                      (Printf.sprintf "request-%d" r.Workload.id)
+                      (fun () -> p.Engine.exec tree)
+                  in
+                  Obs.Scope.note profile;
+                  (answer, profile, cfg.clock () -. t0))
+                admitted
+              |> Array.mapi (fun i (answer, profile, wall) ->
+                     let (r : Workload.request), p, bound = admitted.(i) in
+                     record_telemetry ~id:r.Workload.id ~p ~bound ~profile ~wall;
+                     answer)
             in
             {
               Batch.answers;

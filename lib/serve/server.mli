@@ -13,7 +13,7 @@
     each prepared query carries a strategy, the strategy a naive operation
     bound (e.g. O(n·|Q|²) for bottom-up Core XPath, exponential in |Q| for
     the rewrite strategy); a request whose bound exceeds what the deadline
-    affords at [ops_per_second] is rejected up-front with
+    affords at {!Optimizer.ops_per_second} is rejected up-front with
     ["degraded: naive bound exceeded"] rather than allowed to blow the
     deadline for everyone queued behind it. *)
 
@@ -28,9 +28,6 @@ type config = {
       (** with [share]: also decide the group's streamable queries in one
           SAX pass (see {!Batch.run_prepared}) *)
   deadline : float option;  (** per-request seconds, for shed + reject *)
-  ops_per_second : float;
-      (** calibration for the admission bound (elementary operations the
-          evaluator is assumed to sustain per second) *)
   clock : unit -> float;
   telemetry : Telemetry.Cost_store.t option;
       (** per-fingerprint cost store fed one observation per served
@@ -49,22 +46,24 @@ type config = {
           re-routed through {!Optimizer.decide} — a pick persisted on
           the plan-cache entry is honoured (exploration skipped), and
           admission control prices the {e picked} arm's bound, not the
-          planner default's.  Each served request's latency and observed
-          cost feed {!Optimizer.observe} (after the cost store, so the
-          EWMAs decisions read are fresh); on convergence the winning
-          strategy and its observed mean cost are stored with
-          {!Plan_cache.set_pick}. *)
+          planner default's.  Each served request's observed cost feeds
+          {!Optimizer.observe} after [telemetry] recorded its latency,
+          so the EWMAs decisions read are fresh; on convergence the
+          winning strategy and its observed mean cost are stored with
+          {!Plan_cache.set_pick}.  Give the optimizer the same store as
+          [telemetry], or it ranks by seeded estimate. *)
   force_strategy : Treequery.Engine.strategy option;
       (** pin every request to one strategy (re-prepared once per
           canonical shape; shapes the strategy cannot evaluate keep the
           planner default).  Wins over [optimizer] — the fixed arms of
           the auto-vs-fixed serving benchmark are exactly this. *)
   inject_overbudget : bool;
-      (** fault injection for the telemetry smoke tests: bump the
-          [serve_injected_work] counter by twice each request's
-          admission bound inside its scope, so every served request's
-          observed cost provably exceeds its prediction.  Applies to the
-          non-[share] path. *)
+      (** fault injection for the telemetry smoke tests: wrap each
+          admitted plan's [exec] so it bumps the [serve_injected_work]
+          counter by twice the plan's admission bound, inside the
+          request's (or, in [share] mode, the rep's) scope — every
+          served plan's observed cost provably exceeds its
+          prediction. *)
   tick_every : float option;  (** virtual seconds between telemetry ticks *)
   on_tick : (int -> float -> unit) option;
       (** [f i vt] fires after the chunk during which virtual time
@@ -73,10 +72,10 @@ type config = {
           under a fake clock because it is driven by virtual time *)
   pool : Pool.t option;
       (** execute each chunk's admitted requests (batch reps in [share]
-          mode) in parallel on the pool's domains, one {!Obs.Shard} per
-          task, merged on the admitting domain in admission order —
-          answers, counter totals, telemetry feed and flight-recorder
-          entries are identical to the sequential path.  The caller must
+          mode) in parallel on the pool's domains through
+          {!Pool.mapi_sharded}, merged on the admitting domain in
+          admission order — answers, counter totals, telemetry feed and
+          flight-recorder entries are identical to the sequential path.  The caller must
           {!Treekit.Tree.seal} the tree first and keeps ownership of the
           pool ({!Pool.shutdown}).  [None] (the default) preserves the
           sequential loop exactly. *)
@@ -98,7 +97,6 @@ val config :
   ?share:bool ->
   ?stream_prefilter:bool ->
   ?deadline:float ->
-  ?ops_per_second:float ->
   ?clock:(unit -> float) ->
   ?telemetry:Telemetry.Cost_store.t ->
   ?recorder:Telemetry.Flight_recorder.t ->
@@ -113,10 +111,9 @@ val config :
   unit ->
   config
 (** Defaults: no cache, [concurrency = 1], [share = false],
-    [stream_prefilter = false], no deadline, [ops_per_second = 5e7],
-    [clock = Obs.now], no telemetry, no recorder, no optimizer,
-    [inject_overbudget = false], no ticks, no pool,
-    [wall_clock = false], [sleep] a no-op. *)
+    [stream_prefilter = false], no deadline, [clock = Obs.now], no
+    telemetry, no recorder, no optimizer, [inject_overbudget = false], no
+    ticks, no pool, [wall_clock = false], [sleep] a no-op. *)
 
 val reject_reason : string
 (** ["degraded: naive bound exceeded"] — the message attached to

@@ -563,3 +563,5 @@ let prepare_with strategy query =
   }
 
 let prepare query = prepare_with (plan query) query
+
+let with_exec p exec = { p with exec }

@@ -132,6 +132,10 @@ val prepare_with : strategy -> query -> prepared
     @raise Invalid_argument when the strategy is not in
     [strategies query]. *)
 
+val with_exec : prepared -> (Treekit.Tree.t -> Treekit.Nodeset.t) -> prepared
+(** The same plan, executing [exec] instead — the hook serving-layer
+    fault injection uses to burn extra work inside a plan's execution. *)
+
 val explain :
   ?auto:strategy * string ->
   ?observed:Obs.Report.t ->

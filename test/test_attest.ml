@@ -55,6 +55,20 @@ let test_clean_sweep () =
         (List.length o.Attest.points >= 4))
     outcomes;
   Alcotest.(check bool) "all_ok" true (Attest.all_ok outcomes);
+  (* the optimizer's exact check ran at every size: the pick did no more
+     work than the cheapest plausible arm *)
+  let pick =
+    List.find
+      (fun (o : Attest.outcome) -> o.Attest.bound.Obs.Bound.id = "optimizer-pick")
+      outcomes
+  in
+  List.iter
+    (fun (n, work, cap) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "|D| = %.0f: picked work %.0f <= cheapest arm %.0f" n work cap)
+        true
+        (Float.is_finite cap && work <= cap))
+    pick.Attest.points;
   (* the sweeps enable tracing internally but must restore our state *)
   Alcotest.(check bool) "observability left disabled" false (Obs.enabled ());
   Alcotest.(check (list (pair string int))) "counters left clean" []
@@ -88,6 +102,8 @@ let test_injected_fault_caught () =
        bad_pick.Attest.slope)
     false
     (Attest.outcome_ok bad_pick);
+  Alcotest.(check bool) "inverted routing exceeds the cheapest arm's work" false
+    bad_pick.Attest.envelope_ok;
   Alcotest.(check bool) "only the injected bounds fail" true
     (List.for_all
        (fun (o : Attest.outcome) ->

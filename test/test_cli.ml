@@ -88,6 +88,19 @@ let test_strategy_auto_serves () =
     true
     (contains out "optimizer:")
 
+(* `treequery filter` registers one standing query per pattern: a
+   repeated pattern shares its index entry but keeps its own line *)
+let test_filter_match_column () =
+  let code, out =
+    run_cli
+      [ "filter"; "//a/b"; "//zzz"; "//a/b"; "--xml"; "<r><a><b/></a><d/></r>" ]
+  in
+  Alcotest.(check int) "filter exit code" 0 code;
+  let lines = List.tl (String.split_on_char '\n' (String.trim out)) in
+  Alcotest.(check (list string)) "MATCH column"
+    [ "MATCH  //a/b"; "-      //zzz"; "MATCH  //a/b" ]
+    lines
+
 let suite =
   [
     Alcotest.test_case "serve --domains 0 fails cleanly" `Quick
@@ -104,4 +117,6 @@ let suite =
       test_optimizer_out_requires_auto;
     Alcotest.test_case "serve --strategy auto end-to-end" `Quick
       test_strategy_auto_serves;
+    Alcotest.test_case "filter marks matching patterns" `Quick
+      test_filter_match_column;
   ]

@@ -244,14 +244,14 @@ let test_admission_rejects_over_bound () =
   let t = fig2_tree () in
   let shapes = mini_shapes [ "//a[b]" ] in
   (* a deadline so tight no strategy's bound fits *)
-  let cfg = Serve.Server.config ~deadline:1e-9 ~ops_per_second:1.0 () in
+  let cfg = Serve.Server.config ~deadline:1e-9 () in
   let stats = Serve.Server.run cfg t shapes (closed_requests 20 1) in
   Alcotest.(check int) "all rejected" 20 stats.Serve.Server.rejected;
   Alcotest.(check int) "none served" 0 stats.Serve.Server.served;
   Alcotest.(check string) "reason text" "degraded: naive bound exceeded"
     Serve.Server.reject_reason;
   (* the same workload with an affordable budget is served in full *)
-  let cfg = Serve.Server.config ~deadline:1.0 ~ops_per_second:1e9 () in
+  let cfg = Serve.Server.config ~deadline:1.0 () in
   let stats = Serve.Server.run cfg t shapes (closed_requests 20 1) in
   Alcotest.(check int) "served with budget" 20 stats.Serve.Server.served
 
@@ -444,7 +444,7 @@ let test_share_mode_profiles_per_rep () =
 let test_degrade_logs_fingerprint () =
   let t = fig2_tree () in
   let shapes = mini_shapes [ "//a[b]" ] in
-  let cfg = Serve.Server.config ~deadline:1e-9 ~ops_per_second:1.0 () in
+  let cfg = Serve.Server.config ~deadline:1e-9 () in
   let stats = Serve.Server.run cfg t shapes (closed_requests 5 1) in
   Alcotest.(check int) "every rejection logs the priced plan" 5
     (List.length stats.Serve.Server.degraded);
@@ -566,6 +566,39 @@ let test_parallel_server_counters_match () =
         (Option.value ~default:0 (List.assoc_opt k c4)))
     c1;
   Alcotest.(check int) "no extra counters" (List.length c1) (List.length c4)
+
+(* the pooled ingest loop runs each document under its own shard: the
+   2-domain run reports exactly the sequential counters (no racing
+   increments on the global cells) and keeps every worker span *)
+let test_parallel_ingest_matches_sequential () =
+  with_clean_obs @@ fun () ->
+  let run pool =
+    Obs.reset ();
+    let s =
+      Obs.with_enabled true (fun () ->
+          Serve.Ingest.run
+            {
+              Serve.Ingest.seed = 3;
+              registrations = 300;
+              docs = 40;
+              churn = 0.1;
+              scale = 1;
+              pool;
+              one_at_a_time = false;
+              on_chunk = None;
+            })
+    in
+    let r = Obs.Report.capture () in
+    (s.Serve.Ingest.fired_per_doc, r.Obs.Report.counters, Obs.Report.span_count r)
+  in
+  let f1, c1, n1 = run None in
+  let pool = Serve.Pool.create ~domains:2 () in
+  let f2, c2, n2 =
+    Fun.protect ~finally:(fun () -> Serve.Pool.shutdown pool) (fun () -> run (Some pool))
+  in
+  Alcotest.(check (array int)) "fired per document" f1 f2;
+  Alcotest.(check (list (pair string int))) "counters" c1 c2;
+  Alcotest.(check int) "span count" n1 n2
 
 (* ------------------------------------------------------------------ *)
 (* wall-clock mode and seed-split request streams *)
@@ -717,6 +750,8 @@ let suite =
     prop_parallel_batch_equals_sequential;
     Alcotest.test_case "parallel server counters match sequential" `Quick
       test_parallel_server_counters_match;
+    Alcotest.test_case "parallel ingest counters and spans match sequential" `Quick
+      test_parallel_ingest_matches_sequential;
     Alcotest.test_case "wall-clock smoke" `Quick test_wall_clock_smoke;
     Alcotest.test_case "seed-split request streams replay" `Quick
       test_requests_split_replayable;

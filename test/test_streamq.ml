@@ -3,7 +3,7 @@ open Helpers
 module PP = Streamq.Path_pattern
 module PM = Streamq.Path_matcher
 module TM = Streamq.Twig_matcher
-module FE = Streamq.Filter_engine
+module Index = Subscribe.Index
 
 let test_pattern_parse () =
   let p = PP.of_string "//a/b//*" in
@@ -199,49 +199,37 @@ let prop_twig_matcher_reset =
         Event.iter t2 (TM.push m');
         TM.stats m = TM.stats m')
 
-(* filter engine *)
+(* filter engine: selective dissemination runs on Subscribe.Index, with
+   a linear pattern registered as its XPath translation *)
+let subscribe_pattern idx ~id s =
+  Index.register idx ~id
+    (Treequery.Engine.Xpath_query (PP.to_xpath (PP.of_string s)))
+
 let test_filter_engine () =
-  let eng = FE.create () in
-  let s1 = FE.subscribe eng (PP.of_string "//b") in
-  let s2 = FE.subscribe eng (PP.of_string "/a/b") in
-  let s3 = FE.subscribe eng (PP.of_string "//zzz") in
-  let s4 = FE.subscribe eng (PP.of_string "//b/a") in
-  Alcotest.(check int) "ids" 2 s3;
-  Alcotest.(check int) "count" 4 (FE.subscription_count eng);
-  let matched = FE.match_document eng (fig2_tree ()) in
-  Alcotest.(check (list int)) "matched subs" [ s1; s2; s4 ] matched
+  let idx = Index.create () in
+  List.iteri
+    (fun id s ->
+      Alcotest.(check bool) s true (subscribe_pattern idx ~id s = Index.Spine))
+    [ "//b"; "/a/b"; "//zzz"; "//b/a" ];
+  Alcotest.(check int) "count" 4 (Index.live idx);
+  Alcotest.(check (list int)) "matched subs" [ 0; 1; 3 ]
+    (Index.match_tree (Index.session idx) (fig2_tree ()))
 
 let test_filter_engine_xpath_subs () =
-  let eng = FE.create () in
-  let s1 = FE.subscribe eng (PP.of_string "//b") in
-  let s2 = FE.subscribe_xpath eng (Xpath.Parser.parse "//b[child::a]") in
-  let s3 = FE.subscribe_xpath eng (Xpath.Parser.parse "//b[child::d]") in
-  let s4 = FE.subscribe_xpath eng (Xpath.Parser.parse "//a[not(b)]") in
-  Alcotest.(check bool) "qualified accepted" true (s2 = Some 1 && s3 = Some 2);
-  Alcotest.(check bool) "negation rejected" true (s4 = None);
-  let matched = FE.match_document eng (fig2_tree ()) in
-  Alcotest.(check (list int)) "mixed subscriptions" [ s1; Option.get s2 ] matched
-
-let prop_filter_engine_consistent =
-  qtest ~count:100 "filter engine = individual matchers"
-    QCheck2.Gen.(
-      let* tseed = int_range 0 50_000 in
-      let* n = int_range 1 40 in
-      let* k = int_range 1 8 in
-      return (random_tree ~seed:tseed ~n (), k, tseed))
-    (fun (t, k, seed) ->
-      let eng = FE.create () in
-      let pats =
-        List.init k (fun i ->
-            PP.random ~seed:(seed + i) ~length:(1 + (i mod 3))
-              ~labels:Generator.labels_abc ())
-      in
-      List.iter (fun p -> ignore (FE.subscribe eng p)) pats;
-      let got = FE.match_document eng t in
-      let want =
-        List.concat (List.mapi (fun i p -> if PM.matches t p then [ i ] else []) pats)
-      in
-      got = want)
+  let idx = Index.create () in
+  let subscribe_xpath id s =
+    Index.register idx ~id (Treequery.Engine.parse_xpath s)
+  in
+  ignore (subscribe_pattern idx ~id:0 "//b");
+  let c1 = subscribe_xpath 1 "//b[child::a]" in
+  let c2 = subscribe_xpath 2 "//b[child::d]" in
+  let c3 = subscribe_xpath 3 "//a[not(b)]" in
+  Alcotest.(check bool) "qualified accepted" true
+    (c1 = Index.Twig && c2 = Index.Twig);
+  Alcotest.(check bool) "negation classed general" true (c3 = Index.General);
+  (* the leaf a under b has no b child *)
+  Alcotest.(check (list int)) "mixed subscriptions" [ 0; 1; 3 ]
+    (Index.match_tree (Index.session idx) (fig2_tree ()))
 
 let suite =
   [
@@ -262,5 +250,4 @@ let suite =
     Alcotest.test_case "filter engine" `Quick test_filter_engine;
     Alcotest.test_case "filter engine: qualified XPath subscriptions" `Quick
       test_filter_engine_xpath_subs;
-    prop_filter_engine_consistent;
   ]

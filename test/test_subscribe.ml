@@ -74,6 +74,31 @@ let test_trie_pass_reuse_across_growth () =
 
 let xq s = E.parse_xpath s
 
+let pattern_query p = E.Xpath_query (PP.to_xpath p)
+
+(* selective dissemination through the index: one registration per
+   pattern, repeats included, fires exactly the patterns a dedicated
+   Path_matcher matches *)
+let prop_index_equals_matchers =
+  qtest ~count:100 "index = per-pattern matchers"
+    QCheck2.Gen.(
+      let* tseed = int_range 0 50_000 in
+      let* n = int_range 1 40 in
+      let* k = int_range 1 8 in
+      return (random_tree ~seed:tseed ~n (), k, tseed))
+    (fun (t, k, seed) ->
+      let pats =
+        List.init k (fun i ->
+            PP.random ~seed:(seed + i) ~length:(1 + (i mod 3))
+              ~labels:Generator.labels_abc ())
+      in
+      let idx = Index.create () in
+      List.iteri (fun id p -> ignore (Index.register idx ~id (pattern_query p))) pats;
+      let want =
+        List.concat (List.mapi (fun i p -> if PM.matches t p then [ i ] else []) pats)
+      in
+      Index.match_tree (Index.session idx) t = want)
+
 let test_index_dedup_fanout () =
   let idx = Index.create () in
   let c1 = Index.register idx ~id:1 (xq "//a/b") in
@@ -199,6 +224,7 @@ let suite =
     Alcotest.test_case "trie prefix sharing" `Quick test_trie_prefix_sharing;
     Alcotest.test_case "pooled pass survives trie growth" `Quick
       test_trie_pass_reuse_across_growth;
+    prop_index_equals_matchers;
     Alcotest.test_case "dedup fan-out and unregister" `Quick
       test_index_dedup_fanout;
     Alcotest.test_case "class routing, one pass fires all" `Quick

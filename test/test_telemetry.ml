@@ -272,6 +272,31 @@ let test_residual_injection_trips () =
   let outliers = Telemetry.Cost_store.outliers store in
   Alcotest.(check int) "both shapes are outliers" 2 (List.length outliers)
 
+(* share mode burns the fault too: the wrapped exec runs inside each
+   rep's scope, so every distinct plan served violates *)
+let test_residual_injection_share_mode () =
+  with_clean_obs @@ fun () ->
+  let t = fig2_tree () in
+  let shapes = mini_shapes [ "//a[b]"; "//b" ] in
+  let store = Telemetry.Cost_store.create ~threshold:1.0 () in
+  let cfg =
+    Serve.Server.config ~share:true ~concurrency:10 ~telemetry:store
+      ~inject_overbudget:true ()
+  in
+  let stats =
+    Obs.with_enabled true (fun () ->
+        Serve.Server.run cfg t shapes (closed_requests 20 2))
+  in
+  Alcotest.(check int) "all served" 20 stats.Serve.Server.served;
+  Alcotest.(check int) "two plans per group" 4 stats.Serve.Server.distinct_evaluated;
+  Alcotest.(check int) "every served plan violates" 4
+    stats.Serve.Server.residual_violations;
+  Alcotest.(check bool) "injected work counted" true
+    (List.exists
+       (fun (s : Telemetry.Cost_store.summary) ->
+         List.mem_assoc "serve_injected_work" s.Telemetry.Cost_store.counters)
+       (Telemetry.Cost_store.summaries store))
+
 let test_standard_run_dump_free () =
   with_clean_obs @@ fun () ->
   let t = fig2_tree () in
@@ -350,6 +375,8 @@ let suite =
       test_dump_roundtrip;
     Alcotest.test_case "injected over-budget trips residual gate" `Quick
       test_residual_injection_trips;
+    Alcotest.test_case "share mode flags every injected plan" `Quick
+      test_residual_injection_share_mode;
     Alcotest.test_case "standard run is dump-free" `Quick
       test_standard_run_dump_free;
     Alcotest.test_case "metric ticks deterministic under fake clock" `Quick
