@@ -83,15 +83,13 @@ let class_counts t =
     ("auto", counts.(3));
   ]
 
-let rec twig_size (n : Actree.Twigjoin.node) =
-  List.fold_left (fun acc (_, c) -> acc + twig_size c) 1 n.children
-
 (* The class ladder: a query whose whole meaning is a forward spine goes
    into the merged trie (per-document cost shared with every other
-   spine); a conjunctive forward path with qualifiers becomes a pooled
-   streaming twig matcher fed in the same pass; anything else falls back
-   to its compiled one-at-a-time plan, evaluated per document on the
-   materialised tree.  Boolean semantics agree with
+   spine); a conjunctive forward path with qualifiers joins the session's
+   streaming twig bank, fed in the same pass (unless it is too large for
+   the bank's bitmasks: one such pattern would make the whole bank
+   refuse); anything else falls back to its compiled one-at-a-time plan,
+   evaluated per document on the materialised tree.  Boolean semantics agree with
    [Engine.eval_boolean] in every class (the [standing-match] oracle). *)
 let classify q =
   match q with
@@ -100,7 +98,8 @@ let classify q =
     | Some pat when List.length pat <= 61 -> `Spine pat
     | _ -> (
       match Streamq.Xpath_filter.twig_of p with
-      | Some twig when twig_size twig <= 62 -> `Twig twig
+      | Some twig when Actree.Twigjoin.pattern_size twig <= Streamq.Twig_matcher.max_nodes ->
+        `Twig twig
       | _ -> `General))
   | _ -> `General
 
@@ -120,15 +119,20 @@ let add_entry t ~canon body =
   t.version <- t.version + 1;
   e
 
-let subscribe t ~id entry =
+(* checked before the entry is looked up or created, so a rejected
+   registration leaves the index untouched *)
+let check_fresh t ~id =
   if Hashtbl.mem t.by_id id then
-    invalid_arg (Printf.sprintf "Subscribe.Index.register: duplicate id %d" id);
+    invalid_arg (Printf.sprintf "Subscribe.Index.register: duplicate id %d" id)
+
+let subscribe t ~id entry =
   entry.ids <- id :: entry.ids;
   Hashtbl.replace t.by_id id entry;
   Obs.Counter.incr c_registered;
   class_of_body entry.body
 
 let register t ~id q =
+  check_fresh t ~id;
   let canon = Engine.canonical q in
   let entry =
     match Hashtbl.find_opt t.by_canon canon with
@@ -145,6 +149,7 @@ let register t ~id q =
   subscribe t ~id entry
 
 let register_automaton t ~id auto =
+  check_fresh t ~id;
   let canon = "auto|" ^ auto.Automata.Automaton.name in
   let entry =
     match Hashtbl.find_opt t.by_canon canon with
@@ -177,7 +182,8 @@ type session = {
   index : t;
   pass : Trie.pass;
   mutable sversion : int;
-  mutable twigs : (entry * Streamq.Twig_matcher.t) array;
+  mutable twig_entries : entry array;  (* entry j is pattern j of [twigs] *)
+  mutable twigs : Streamq.Twig_matcher.t;
   mutable autos : (entry * Automata.Automaton.stepper) array;
   mutable generals : entry array;
 }
@@ -187,7 +193,8 @@ let session index =
     index;
     pass = Trie.pass index.trie;
     sversion = -1;
-    twigs = [||];
+    twig_entries = [||];
+    twigs = Streamq.Twig_matcher.create [||];
     autos = [||];
     generals = [||];
   }
@@ -199,12 +206,13 @@ let refresh s =
       (fun _ e ->
         match e.body with
         | Spine_body _ -> ()
-        | Twig_body { twig } ->
-          twigs := (e, Streamq.Twig_matcher.create ~anchored:true twig) :: !twigs
+        | Twig_body { twig } -> twigs := (e, twig) :: !twigs
         | Auto_body { auto } -> autos := (e, Automata.Automaton.stepper auto) :: !autos
         | General_body _ -> generals := e :: !generals)
       s.index.by_canon;
-    s.twigs <- Array.of_list !twigs;
+    let twigs = Array.of_list !twigs in
+    s.twig_entries <- Array.map fst twigs;
+    s.twigs <- Streamq.Twig_matcher.create ~anchored:true (Array.map snd twigs);
     s.autos <- Array.of_list !autos;
     s.generals <- Array.of_list !generals;
     s.sversion <- s.index.version
@@ -213,11 +221,11 @@ let refresh s =
 let match_tree s tree =
   refresh s;
   Trie.begin_doc s.pass;
-  Array.iter (fun (_, m) -> Streamq.Twig_matcher.reset m) s.twigs;
+  Streamq.Twig_matcher.reset s.twigs;
   Array.iter (fun (_, st) -> Automata.Automaton.reset_stepper st) s.autos;
   Event.iter tree (fun ev ->
       Trie.push s.pass ev;
-      Array.iter (fun (_, m) -> Streamq.Twig_matcher.push m ev) s.twigs;
+      Streamq.Twig_matcher.push s.twigs ev;
       Array.iter (fun (_, st) -> Automata.Automaton.step st ev) s.autos);
   let fired = ref [] in
   let fire counter (e : entry) =
@@ -230,11 +238,9 @@ let match_tree s tree =
       | Some e -> fire c_fired_spine e
       | None -> ())
     (Trie.fired s.pass);
-  Array.iter
-    (fun (e, m) ->
-      if (Streamq.Twig_matcher.stats m).Streamq.Twig_matcher.matched then
-        fire c_fired_twig e)
-    s.twigs;
+  Array.iteri
+    (fun j e -> if Streamq.Twig_matcher.matched s.twigs j then fire c_fired_twig e)
+    s.twig_entries;
   Array.iter
     (fun (e, st) ->
       match Automata.Automaton.accepted st with

@@ -12,9 +12,10 @@
       ({!Streamq.Path_pattern.of_xpath}); merged into the shared
       prefix-sharing {!Trie}, where all spines are matched at once.
     - {e Twig} — conjunctive forward path with qualifiers
-      ({!Streamq.Xpath_filter.twig_of}); a pooled streaming
-      {!Streamq.Twig_matcher} (created once per session, [reset] per
-      document) fed in the same SAX pass.
+      ({!Streamq.Xpath_filter.twig_of}) of at most
+      {!Streamq.Twig_matcher.max_nodes} nodes; one pattern of the
+      session's streaming {!Streamq.Twig_matcher} bank (compiled once
+      per session, [reset] per document) fed in the same SAX pass.
     - {e Auto} — a registered {!Automata.Automaton} (MSO property),
       advanced through the same pass by its push {!Automata.Automaton.stepper}.
     - {e General} — everything else (CQs, datalog, non-forward XPath):
@@ -22,7 +23,7 @@
       Boolean plan on the materialised tree per document.
 
     One {!match_tree} call therefore streams the document's SAX events
-    exactly once through trie + twig matchers + automata, and fires every
+    exactly once through trie + twig bank + automata, and fires every
     matching subscription; Boolean semantics in every class agree with
     one-at-a-time [Engine.eval_boolean] (the [standing-match] differential
     oracle).
@@ -41,12 +42,13 @@ val create : unit -> t
 
 val register : t -> id:int -> Treequery.Engine.query -> query_class
 (** Register a subscription; returns the class its canonical entry lives
-    in.  @raise Invalid_argument on a duplicate live ID. *)
+    in.  @raise Invalid_argument on a duplicate live ID, leaving the
+    index unchanged. *)
 
 val register_automaton : t -> id:int -> Automata.Automaton.t -> query_class
 (** Register a standing automaton (deduplicated by automaton name);
     always returns {!Auto}.  @raise Invalid_argument on a duplicate live
-    ID. *)
+    ID, leaving the index unchanged. *)
 
 val unregister : t -> id:int -> bool
 (** Remove a subscription; [false] if the ID is not live (idempotent —
@@ -67,7 +69,7 @@ val class_counts : t -> (string * int) list
 
 (** {1 Matching sessions}
 
-    A session owns the pooled per-pass state (trie pass, twig matchers,
+    A session owns the pooled per-pass state (trie pass, twig bank,
     automaton steppers).  It lazily rebuilds when the entry set has
     churned (version counter).  One session per domain. *)
 
@@ -77,7 +79,7 @@ val session : t -> session
 
 val match_tree : session -> Treekit.Tree.t -> int list
 (** Match one document: the sorted list of fired subscription IDs.
-    Cost: one SAX pass (trie active states + twig/automaton steps) plus
+    Cost: one SAX pass (trie active states + twig bank + automaton steps) plus
     the compiled Boolean plans of the [General] entries plus the fired
     set. *)
 

@@ -177,27 +177,33 @@ let prop_twig_matcher_reset =
   qtest ~count:200 "twig matcher: reset = fresh construction"
     QCheck2.Gen.(
       let* qseed = int_range 0 50_000 in
+      let* k = int_range 1 3 in
       let* nvars = int_range 1 4 in
+      let* anchored = bool in
       let* ts1 = int_range 0 50_000 in
       let* ts2 = int_range 0 50_000 in
       let* n1 = int_range 1 40 in
       let* n2 = int_range 1 40 in
-      let q =
-        Cqtree.Generator.acyclic ~seed:qseed ~nvars
-          ~axes:[ Axis.Child; Axis.Descendant ] ~labels:Generator.labels_abc ()
+      (* the first document is cut after [cut] events, mid-stream when
+         [cut < 2 * n1]: the reset must also clear the open nodes' frames *)
+      let* cut = int_range 0 (2 * n1) in
+      let qs =
+        List.init k (fun i ->
+            Cqtree.Generator.acyclic ~seed:(qseed + i) ~nvars
+              ~axes:[ Axis.Child; Axis.Descendant ] ~labels:Generator.labels_abc ())
       in
-      return (q, random_tree ~seed:ts1 ~n:n1 (), random_tree ~seed:ts2 ~n:n2 ()))
-    (fun (q, t1, t2) ->
-      match Actree.Twigjoin.of_query q with
-      | None -> QCheck2.assume_fail ()
-      | Some twig ->
-        let m = TM.create twig in
-        Event.iter t1 (TM.push m);
+      return (qs, anchored, random_tree ~seed:ts1 ~n:n1 (), cut, random_tree ~seed:ts2 ~n:n2 ()))
+    (fun (qs, anchored, t1, cut, t2) ->
+      match Array.of_list (List.filter_map Actree.Twigjoin.of_query qs) with
+      | [||] -> QCheck2.assume_fail ()
+      | twigs ->
+        let m = TM.create ~anchored twigs in
+        List.iteri (fun i ev -> if i < cut then TM.push m ev) (Event.to_list t1);
         TM.reset m;
         Event.iter t2 (TM.push m);
-        let m' = TM.create twig in
+        let m' = TM.create ~anchored twigs in
         Event.iter t2 (TM.push m');
-        TM.stats m = TM.stats m')
+        List.for_all (fun j -> TM.stats m j = TM.stats m' j) (List.init (Array.length twigs) Fun.id))
 
 (* filter engine: selective dissemination runs on Subscribe.Index, with
    a linear pattern registered as its XPath translation *)
@@ -231,6 +237,80 @@ let test_filter_engine_xpath_subs () =
   Alcotest.(check (list int)) "mixed subscriptions" [ 0; 1; 3 ]
     (Index.match_tree (Index.session idx) (fig2_tree ()))
 
+(* twig banks: many patterns in one pass *)
+
+(* a random twig of 1–6 nodes over labels a, b, c and [*]: node i > 0
+   hangs below a random earlier node, by a child or descendant edge *)
+let random_twig_gen =
+  QCheck2.Gen.(
+    let* size = int_range 1 6 in
+    let* parents = flatten_l (List.init (size - 1) (fun i -> int_range 0 i)) in
+    let* child_edges = list_repeat (size - 1) bool in
+    let* labels = list_repeat size (oneofl [ Some "a"; Some "b"; Some "c"; None ]) in
+    let parents = Array.of_list (-1 :: parents) in
+    let child_edges = Array.of_list (true :: child_edges) in
+    let labels = Array.of_list labels in
+    let rec node i =
+      {
+        Actree.Twigjoin.label = labels.(i);
+        children =
+          List.init size Fun.id
+          |> List.filter (fun c -> parents.(c) = i)
+          |> List.map (fun c ->
+                 ( (if child_edges.(c) then Actree.Twigjoin.Child_edge
+                    else Actree.Twigjoin.Descendant_edge),
+                   node c ));
+      }
+    in
+    return (node 0))
+
+let prop_twig_bank =
+  qtest ~count:300 "twig bank = per-pattern twig joins"
+    QCheck2.Gen.(
+      let* k = int_range 1 8 in
+      let* twigs = list_repeat k random_twig_gen in
+      let* anchored = bool in
+      let* tseed = int_range 0 50_000 in
+      let* n = int_range 1 30 in
+      (* up to path-like trees, deeper than the bank's initial frame rows *)
+      let* descend_bias = float_range 0.3 0.95 in
+      return
+        ( Array.of_list twigs,
+          anchored,
+          Generator.random_deep ~seed:tseed ~n ~labels:Generator.labels_abc ~descend_bias () ))
+    (fun (twigs, anchored, t) ->
+      let bank = TM.create ~anchored twigs in
+      Event.iter t (TM.push bank);
+      List.for_all
+        (fun j ->
+          (* the document nodes where pattern j's root matches; the
+             document root is node 0 *)
+          let roots =
+            Actree.Twigjoin.solutions t twigs.(j)
+            |> List.map (fun s -> s.(0))
+            |> List.sort_uniq compare
+            |> List.filter (fun v -> (not anchored) || v = 0)
+          in
+          TM.matched bank j = (roots <> [])
+          && (TM.stats bank j).match_count = List.length roots)
+        (List.init (Array.length twigs) Fun.id))
+
+let test_twig_bank_anchored_label () =
+  (* a[b]: anchored, the root's label is tested against the document root *)
+  let twig =
+    { Actree.Twigjoin.label = Some "a";
+      children = [ (Actree.Twigjoin.Child_edge, { label = Some "b"; children = [] }) ] }
+  in
+  let check doc want =
+    let bank = TM.create ~anchored:true [| twig |] in
+    Event.iter (Xml.parse doc) (TM.push bank);
+    Alcotest.(check bool) doc want (TM.matched bank 0)
+  in
+  check "<a><b/></a>" true;
+  check "<c><a><b/></a></c>" false;
+  check "<b><b/></b>" false;
+  check "<a><c><b/></c></a>" false
+
 let suite =
   [
     Alcotest.test_case "pattern parse" `Quick test_pattern_parse;
@@ -250,4 +330,7 @@ let suite =
     Alcotest.test_case "filter engine" `Quick test_filter_engine;
     Alcotest.test_case "filter engine: qualified XPath subscriptions" `Quick
       test_filter_engine_xpath_subs;
+    prop_twig_bank;
+    Alcotest.test_case "twig bank: anchored labelled root" `Quick
+      test_twig_bank_anchored_label;
   ]

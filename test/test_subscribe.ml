@@ -218,6 +218,56 @@ let test_oracle_1k () =
       Alcotest.(check bool) "mostly applicable" true (passes >= 900))
     stats.Check.Runner.per_oracle
 
+(* a rejected duplicate id must leave no orphan entry behind: the twig
+   bank would otherwise match the orphan on every document *)
+let test_rejected_duplicate_leaves_no_orphan () =
+  let idx = Index.create () in
+  let s = Index.session idx in
+  let t = Xml.parse "<r><a><b/></a><c><d/></c></r>" in
+  Tree.seal t;
+  ignore (Index.register idx ~id:1 (xq "//a[b]"));
+  let entries = Index.entries idx and counts = Index.class_counts idx in
+  let fired = Index.match_tree s t in
+  let rejected f =
+    match f () with
+    | _ -> Alcotest.fail "duplicate id accepted"
+    | exception Invalid_argument _ ->
+      Alcotest.(check int) "entries unchanged" entries (Index.entries idx);
+      Alcotest.(check (list (pair string int)))
+        "class counts unchanged" counts (Index.class_counts idx);
+      Alcotest.(check (list int)) "fired set unchanged" fired (Index.match_tree s t)
+  in
+  rejected (fun () -> Index.register idx ~id:1 (xq "//c[d]"));
+  rejected (fun () -> Index.register idx ~id:1 (xq "//c/d"));
+  rejected (fun () ->
+      Index.register_automaton idx ~id:1 (Automata.Automaton.exists_label "d"));
+  Alcotest.(check bool) "unregister" true (Index.unregister idx ~id:1);
+  Alcotest.(check int) "no entry left" 0 (Index.entries idx);
+  Alcotest.(check int) "no live id left" 0 (Index.live idx)
+
+(* the twig bank packs a pattern's nodes into one int: a larger twig is
+   routed to its compiled plan instead, and still fires correctly *)
+let test_oversized_twig_is_general () =
+  let quals k = String.concat "" (List.init k (fun i -> Printf.sprintf "[x%d]" i)) in
+  (* the twig of //a[x0]…[x(k-1)] has a document-root node, a and k leaves *)
+  let fits = Streamq.Twig_matcher.max_nodes - 2 in
+  let idx = Index.create () in
+  Alcotest.(check bool) "largest twig" true
+    (Index.register idx ~id:0 (xq ("//a" ^ quals fits)) = Index.Twig);
+  Alcotest.(check bool) "one node more" true
+    (Index.register idx ~id:1 (xq ("//a" ^ quals (fits + 1))) = Index.General);
+  let doc k =
+    let t =
+      Xml.parse
+        ("<r><a>" ^ String.concat "" (List.init k (Printf.sprintf "<x%d/>")) ^ "</a></r>")
+    in
+    Tree.seal t;
+    t
+  in
+  let s = Index.session idx in
+  Alcotest.(check (list int)) "both fire" [ 0; 1 ] (Index.match_tree s (doc (fits + 1)));
+  Alcotest.(check (list int)) "only the smaller fires" [ 0 ] (Index.match_tree s (doc fits))
+
 let suite =
   [
     prop_trie_equals_matchers;
@@ -233,4 +283,8 @@ let suite =
       test_session_refresh_on_churn;
     prop_index_equals_one_at_a_time;
     Alcotest.test_case "standing-match oracle x1000" `Slow test_oracle_1k;
+    Alcotest.test_case "rejected duplicate id leaves no orphan" `Quick
+      test_rejected_duplicate_leaves_no_orphan;
+    Alcotest.test_case "oversized twig routes to a general plan" `Quick
+      test_oversized_twig_is_general;
   ]
