@@ -286,19 +286,32 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Span = struct
-  type node = {
-    span_name : string;
+  (* A closed span.  It is built once, when the span closes (its
+     children closed before it, so they are frozen already), and never
+     changes afterwards: the live forest, every captured report and the
+     streaming sink share it. *)
+  type t = {
+    name : string;
     start : float;  (** clock reading at entry (seconds) *)
-    mutable duration : float;
-    mutable attrs : (string * attr) list;  (** reversed insertion order *)
-    mutable children : node list;  (** reversed *)
+    duration : float;
+    attrs : (string * attr) list;
+    children : t list;
+  }
+
+  (* An open span: only these are ever mutated, and only while they sit
+     on their domain's open stack. *)
+  type node = {
+    label : string;
+    t0 : float;
+    mutable rev_attrs : (string * attr) list;
+    mutable rev_children : t list;  (** closed children, newest first *)
   }
 
   (* Span bookkeeping is per-domain: each domain has its own open-span
      stack and completed-root list, so workers never contend on the main
      domain's trace.  On the main domain this is the same state the
      pre-domains code kept in two global refs. *)
-  type state = { mutable roots : node list (* reversed *); mutable stack : node list }
+  type state = { mutable roots : t list (* reversed *); mutable stack : node list }
 
   let state_key : state Domain.DLS.key =
     Domain.DLS.new_key (fun () -> { roots = []; stack = [] })
@@ -308,9 +321,11 @@ module Span = struct
   (* Streaming sinks (the Chrome trace writer) observe each span the
      moment it completes — children strictly before their parents.  The
      hook must never break the instrumented program, so its exceptions
-     are swallowed.  It fires only on the domain that installed it;
-     worker spans are replayed through it when their shard merges. *)
-  let completion_hook : (node -> unit) option ref = ref None
+     are swallowed.  It fires only on the domain that installed it and
+     only outside a {!Shard}: worker spans are replayed through it when
+     their shard merges, so a task the installing domain ran itself is
+     not streamed twice. *)
+  let completion_hook : (t -> unit) option ref = ref None
 
   let hook_domain : Domain.id ref = ref (Domain.self ())
 
@@ -318,47 +333,47 @@ module Span = struct
     hook_domain := Domain.self ();
     completion_hook := h
 
-  let fire_hook node =
+  let fire_hook span =
     match !completion_hook with
-    | Some f when Domain.self () = !hook_domain -> ( try f node with _ -> ())
+    | Some f when Domain.self () = !hook_domain && Domain.DLS.get Cshard.key = None ->
+      (try f span with _ -> ())
     | _ -> ()
 
   (* Replay a merged worker span through the streaming hook, children
      strictly before parents (the order the sink would have seen live). *)
-  let rec replay_hook node =
-    List.iter replay_hook (List.rev node.children);
-    fire_hook node
+  let rec replay_hook span =
+    List.iter replay_hook span.children;
+    fire_hook span
 
   let reset () =
     let st = state () in
     st.roots <- [];
     st.stack <- []
 
-  let attach node =
+  (* close [node]: freeze it and hand it to its parent (or the roots) *)
+  let attach node duration =
     let st = state () in
     match st.stack with
     | top :: rest when top == node ->
       st.stack <- rest;
+      let span =
+        { name = node.label; start = node.t0; duration;
+          attrs = List.rev node.rev_attrs; children = List.rev node.rev_children }
+      in
       (match rest with
-      | parent :: _ -> parent.children <- node :: parent.children
-      | [] -> st.roots <- node :: st.roots);
-      fire_hook node
+      | parent :: _ -> parent.rev_children <- span :: parent.rev_children
+      | [] -> st.roots <- span :: st.roots);
+      fire_hook span
     | _ -> () (* unbalanced exit (e.g. reset inside a span): drop the span *)
 
   let with_ ?(attrs = []) name f =
     if not !on then f ()
     else begin
       let t0 = !clock () in
-      let node =
-        { span_name = name; start = t0; duration = 0.0; attrs = List.rev attrs; children = [] }
-      in
+      let node = { label = name; t0; rev_attrs = List.rev attrs; rev_children = [] } in
       let st = state () in
       st.stack <- node :: st.stack;
-      Fun.protect
-        ~finally:(fun () ->
-          node.duration <- !clock () -. t0;
-          attach node)
-        f
+      Fun.protect ~finally:(fun () -> attach node (!clock () -. t0)) f
     end
 
   (* Attach a late-bound attribute (e.g. a result size only known at the
@@ -367,7 +382,7 @@ module Span = struct
   let set_attr key value =
     if !on then
       match (state ()).stack with
-      | top :: _ -> top.attrs <- (key, value) :: List.remove_assoc key top.attrs
+      | top :: _ -> top.rev_attrs <- (key, value) :: List.remove_assoc key top.rev_attrs
       | [] -> ()
 end
 
@@ -483,7 +498,7 @@ module Shard = struct
   type t = {
     counters : Cshard.t;
     hists : (string, Histogram.t) Hashtbl.t;
-    mutable roots : Span.node list;  (* completed worker spans, oldest first *)
+    mutable roots : Span.t list;  (* completed worker spans, oldest first *)
     mutable profiles : profile list;  (* oldest first *)
   }
 
@@ -534,7 +549,7 @@ module Shard = struct
       (fun n ->
         Span.replay_hook n;
         match st.Span.stack with
-        | parent :: _ -> parent.Span.children <- n :: parent.Span.children
+        | parent :: _ -> parent.Span.rev_children <- n :: parent.Span.rev_children
         | [] -> st.Span.roots <- n :: st.Span.roots)
       sh.roots;
     let cap = Scope.captured () in
@@ -786,7 +801,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Report = struct
-  type span = {
+  type span = Span.t = {
     name : string;
     start : float;  (** seconds, absolute clock reading; 0 when unknown *)
     duration : float;
@@ -806,18 +821,12 @@ module Report = struct
   let is_empty r =
     r.spans = [] && r.counters = [] && r.histograms = [] && r.profiles = []
 
-  let rec freeze (node : Span.node) =
-    {
-      name = node.span_name;
-      start = node.start;
-      duration = node.duration;
-      attrs = List.rev node.attrs;
-      children = List.rev_map freeze node.children;
-    }
-
+  (* spans are frozen when they close, so capturing the forest is one
+     list reversal: the report shares the closed spans with the live
+     forest *)
   let capture () =
     {
-      spans = List.rev_map freeze (Span.state ()).Span.roots;
+      spans = List.rev (Span.state ()).Span.roots;
       counters = Counter.snapshot ();
       histograms = Histogram.snapshot ();
       profiles = Scope.recorded ();
@@ -1132,12 +1141,12 @@ module Trace = struct
     let s = { events = []; t0 = 0.0 } in
     Span.set_completion_hook
       (Some
-        (fun (n : Span.node) ->
-          if s.t0 = 0.0 || n.Span.start < s.t0 then s.t0 <- n.Span.start;
+        (fun (n : Report.span) ->
+          if s.t0 = 0.0 || n.Report.start < s.t0 then s.t0 <- n.Report.start;
           s.events <-
             (* t0 is normalised at [stop_stream]; record absolute µs here *)
-            event ~t0:0.0 ~name:n.Span.span_name ~start:n.Span.start
-              ~duration:n.Span.duration ~attrs:(List.rev n.Span.attrs)
+            event ~t0:0.0 ~name:n.Report.name ~start:n.Report.start
+              ~duration:n.Report.duration ~attrs:n.Report.attrs
             :: s.events));
     s
 
@@ -1238,28 +1247,36 @@ module Openmetrics = struct
           (Printf.sprintf "%s%s %s\n" m braces (float_str g.gvalue)))
       gauges
 
-  (* labelled summaries (the telemetry layer's per-fingerprint sketches);
-     one # TYPE line per metric name, then a series per label set *)
+  (* labelled series (the telemetry layer's per-fingerprint sketches and
+     pick counts); one # TYPE line per metric name, then a series per
+     label set.  A series with quantiles is a latency summary, one
+     without is a counter. *)
   let render_extra buf extras =
     let typed = Hashtbl.create 8 in
     List.iter
       (fun s ->
-        let m = "treequery_" ^ sanitize s.metric ^ "_seconds" in
+        let counter = s.quantiles = [] in
+        let m = "treequery_" ^ sanitize s.metric ^ if counter then "" else "_seconds" in
         if not (Hashtbl.mem typed m) then begin
           Hashtbl.add typed m ();
-          family buf m "summary"
-            (Printf.sprintf "Per-series latency summary %s (seconds)." s.metric)
+          if counter then family buf m "counter" (Printf.sprintf "Per-series count %s." s.metric)
+          else
+            family buf m "summary"
+              (Printf.sprintf "Per-series latency summary %s (seconds)." s.metric)
         end;
         let ls = render_labels s.labels in
-        List.iter
-          (fun (q, v) ->
-            let sep = if ls = "" then "" else "," in
-            Buffer.add_string buf
-              (Printf.sprintf "%s{%s%squantile=\"%s\"} %s\n" m ls sep q (float_str v)))
-          s.quantiles;
         let braces = if ls = "" then "" else "{" ^ ls ^ "}" in
-        Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" m braces s.count);
-        Buffer.add_string buf (Printf.sprintf "%s_sum%s %s\n" m braces (float_str s.sum)))
+        if counter then Buffer.add_string buf (Printf.sprintf "%s_total%s %d\n" m braces s.count)
+        else begin
+          List.iter
+            (fun (q, v) ->
+              let sep = if ls = "" then "" else "," in
+              Buffer.add_string buf
+                (Printf.sprintf "%s{%s%squantile=\"%s\"} %s\n" m ls sep q (float_str v)))
+            s.quantiles;
+          Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" m braces s.count);
+          Buffer.add_string buf (Printf.sprintf "%s_sum%s %s\n" m braces (float_str s.sum))
+        end)
       extras
 
   let render ?(gauges = []) ?(extra = []) (r : Report.t) =

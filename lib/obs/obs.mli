@@ -282,7 +282,12 @@ module Report : sig
   (** Snapshot the completed spans, nonzero counters, nonempty histograms
       and scope profiles recorded since the last {!reset}.  With
       observability disabled throughout (and no histogram fed), the
-      result is {!empty}. *)
+      result is {!empty}.
+
+      A span is frozen when it closes and never changes afterwards, so
+      the report shares its spans with the live forest and with every
+      other capture: capturing costs one list cell per retained root
+      span and per retained profile, whatever the size of the forest. *)
 
   val span_count : t -> int
   (** Total spans in the forest (every node, not just roots). *)
@@ -322,7 +327,9 @@ module Trace : sig
   val start_stream : unit -> sink
   (** Subscribe to span completions: every span finishing after this
       call is appended to the sink as it completes (children before
-      parents — event order is irrelevant to the format).  Only one
+      parents — event order is irrelevant to the format); a span that
+      completes inside {!Shard.run} is appended when its shard merges,
+      so each span is streamed exactly once.  Only one
       sink can be live at a time; starting a new one replaces the
       previous subscription. *)
 
@@ -339,14 +346,18 @@ module Openmetrics : sig
     labels : (string * string) list;
         (** label set distinguishing the series, e.g. fingerprint and
             strategy; values are escaped per the exposition format *)
-    quantiles : (string * float) list;  (** quantile label → seconds *)
-    sum : float;  (** seconds *)
+    quantiles : (string * float) list;
+        (** quantile label → seconds; empty for a counter series *)
+    sum : float;  (** seconds; unused by a counter series *)
     count : int;
   }
-  (** A labelled summary series (the telemetry layer's per-fingerprint
-      latency sketches), rendered as
+  (** A labelled series from the telemetry layer.  With quantiles it is
+      a latency summary (the per-fingerprint sketches), rendered as
       [treequery_<metric>_seconds{labels,quantile="q"} v] lines plus
-      [_count]/[_sum]. *)
+      [_count]/[_sum].  Without quantiles it is a counter (the
+      per-fingerprint optimizer picks), rendered as
+      [treequery_<metric>_total{labels} count] under
+      [# TYPE treequery_<metric> counter]. *)
 
   type gauge = {
     gname : string;  (** unprefixed metric name, e.g. ["build_info"] *)
@@ -373,7 +384,8 @@ module Openmetrics : sig
   val render : ?gauges:gauge list -> ?extra:summary list -> Report.t -> string
   (** [gauges] (default none) prepends gauge samples before the
       report's counters; [extra] (default none) appends labelled
-      summaries after the report's counters and histograms, before
+      summaries and counters after the report's counters and histograms,
+      one family per metric name, before
       [# EOF].  Every metric family carries [# HELP] and [# TYPE]
       lines. *)
 end

@@ -55,7 +55,12 @@ val publish :
     per-fingerprint summaries otherwise derived from [telemetry]; the
     flight-recorder dump is rendered here (on the publishing domain) so
     scrapes never race the mutable ring.  Returns the published
-    snapshot. *)
+    snapshot.
+
+    The cost follows what changed since the previous publish: one list
+    cell per retained root span and per retained profile (spans are
+    frozen when they close and shared, not copied), the series of the
+    cost-store cells touched since, and the bounded flight dump. *)
 
 val latest : publisher -> t option
 (** The most recently published snapshot ([None] before the first

@@ -13,14 +13,25 @@ type cell = {
   mutable violations : int;
   mutable picks : int; (* optimizer decisions routed to this cell *)
   counters : (string, int) Hashtbl.t; (* cumulative deltas *)
+  labels : (string * string) list; (* the exposition labels of its series *)
+  mutable exposed : (Obs.Openmetrics.summary * Obs.Openmetrics.summary option) option;
+      (* its latency and picks series as last exposed; [None] once
+         [observe] or [record_pick] touched the cell since *)
 }
+
+module Key_map = Map.Make (struct
+  type t = string * string
+
+  let compare = compare
+end)
 
 type t = {
   sketch_capacity : int;
   threshold : float;
   half_life : float;
   clock : unit -> float;
-  cells : (string * string, cell) Hashtbl.t;
+  cells : (string * string, cell) Hashtbl.t; (* per-request lookups *)
+  mutable index : cell Key_map.t; (* the same cells in key order *)
   mutable total_violations : int;
 }
 
@@ -54,6 +65,7 @@ let create ?(sketch_capacity = 128) ?(threshold = 1.0) ?(half_life = 30.0)
     half_life;
     clock;
     cells = Hashtbl.create 32;
+    index = Key_map.empty;
     total_violations = 0;
   }
 
@@ -75,13 +87,17 @@ let cell t ~fingerprint ~strategy =
         violations = 0;
         picks = 0;
         counters = Hashtbl.create 16;
+        labels = [ ("fingerprint", fingerprint); ("strategy", strategy) ];
+        exposed = None;
       }
     in
     Hashtbl.add t.cells key c;
+    t.index <- Key_map.add key c t.index;
     c
 
 let observe t ~fingerprint ~strategy ~predicted ~observed ~latency ~counters =
   let c = cell t ~fingerprint ~strategy in
+  c.exposed <- None;
   c.served <- c.served + 1;
   Sketch.Quantile.add c.latency latency;
   Sketch.Ewma.observe c.ewma latency;
@@ -111,6 +127,7 @@ let is_empty t = Hashtbl.length t.cells = 0
    estimate the sketches feed *)
 let record_pick t ~fingerprint ~strategy =
   let c = cell t ~fingerprint ~strategy in
+  c.exposed <- None;
   c.picks <- c.picks + 1
 
 let ewma_latency t ~fingerprint ~strategy =
@@ -146,8 +163,7 @@ let summary_of_cell (c : cell) : summary =
   }
 
 let summaries t =
-  Hashtbl.fold (fun _ c acc -> summary_of_cell c :: acc) t.cells []
-  |> List.sort (fun a b -> compare (a.fingerprint, a.strategy) (b.fingerprint, b.strategy))
+  List.rev (Key_map.fold (fun _ c acc -> summary_of_cell c :: acc) t.index [])
 
 let top_by_p99 ?(k = 5) t =
   summaries t
@@ -194,38 +210,47 @@ let to_json t =
       ("fingerprints", Obs.Json.Arr (List.map json_of_summary (summaries t)));
     ]
 
-let openmetrics t =
-  let latency =
-    List.map
-      (fun (s : summary) ->
+(* Must agree with [summary_of_cell]: the exposition of a cell is what
+   its summary would say.  A series without quantiles is rendered as a
+   counter. *)
+let series_of_cell c =
+  let q = Sketch.Quantile.quantile c.latency in
+  ( {
+      Obs.Openmetrics.metric = "serve_fp_latency";
+      labels = c.labels;
+      quantiles = [ ("0.5", q 0.5); ("0.9", q 0.9); ("0.95", q 0.95); ("0.99", q 0.99) ];
+      sum = Sketch.Quantile.mean c.latency *. float_of_int c.served;
+      count = c.served;
+    },
+    if c.picks = 0 then None
+    else
+      Some
         {
-          Obs.Openmetrics.metric = "serve_fp_latency";
-          labels = [ ("fingerprint", s.fingerprint); ("strategy", s.strategy) ];
-          quantiles =
-            [ ("0.5", s.p50); ("0.9", s.p90); ("0.95", s.p95); ("0.99", s.p99) ];
-          sum = s.mean_latency *. float_of_int s.served;
-          count = s.served;
-        })
-      (summaries t)
-  in
-  (* one pick-count series per cell the optimizer actually routed to *)
-  let picks =
-    List.filter_map
-      (fun (s : summary) ->
-        if s.picks = 0 then None
-        else
-          Some
-            {
-              Obs.Openmetrics.metric = "serve_fp_picks";
-              labels =
-                [ ("fingerprint", s.fingerprint); ("strategy", s.strategy) ];
-              quantiles = [];
-              sum = 0.0;
-              count = s.picks;
-            })
-      (summaries t)
-  in
-  latency @ picks
+          Obs.Openmetrics.metric = "serve_fp_picks";
+          labels = c.labels;
+          quantiles = [];
+          sum = 0.0;
+          count = c.picks;
+        } )
+
+(* Only the cells touched since the previous exposition are recomputed;
+   the index is already in key order, so nothing is sorted. *)
+let openmetrics t =
+  let latency = ref [] and picks = ref [] in
+  Key_map.iter
+    (fun _ c ->
+      let l, p =
+        match c.exposed with
+        | Some s -> s
+        | None ->
+          let s = series_of_cell c in
+          c.exposed <- Some s;
+          s
+      in
+      latency := l :: !latency;
+      match p with Some p -> picks := p :: !picks | None -> ())
+    t.index;
+  List.rev_append !latency (List.rev !picks)
 
 let to_table ?(k = 5) t =
   if is_empty t then ""

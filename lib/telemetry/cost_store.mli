@@ -75,8 +75,8 @@ val is_empty : t -> bool
 
 val record_pick : t -> fingerprint:string -> strategy:string -> unit
 (** Count one optimizer routing decision against the cell (creating it
-    if needed).  Surfaced as [picks] in summaries/JSON and as a
-    [serve_fp_picks] series in {!openmetrics}. *)
+    if needed).  Surfaced as [picks] in summaries/JSON and as a sample
+    of the [serve_fp_picks] counter family in {!openmetrics}. *)
 
 val ewma_latency : t -> fingerprint:string -> strategy:string -> float option
 (** The cell's time-decayed latency mean, in O(1) — [None] until the
@@ -85,7 +85,8 @@ val ewma_latency : t -> fingerprint:string -> strategy:string -> float option
     estimate the sketches export. *)
 
 val summaries : t -> summary list
-(** All keys, sorted by (fingerprint, strategy). *)
+(** All keys, in (fingerprint, strategy) order.  The store keeps its
+    cells in that order, so this sorts nothing. *)
 
 val top_by_p99 : ?k:int -> t -> summary list
 (** The [k] (default 5) keys with the highest latency p99, descending. *)
@@ -101,9 +102,14 @@ val to_json : t -> Obs.Json.t
 
 val openmetrics : t -> Obs.Openmetrics.summary list
 (** One labelled [serve_fp_latency] summary series per
-    (fingerprint × strategy), plus one [serve_fp_picks] count series per
-    cell the optimizer routed to, for {!Obs.Openmetrics.render}'s
-    [extra]. *)
+    (fingerprint × strategy), then, for each cell the optimizer routed
+    to, one sample of the [serve_fp_picks] counter family (no
+    quantiles: exposed as [treequery_serve_fp_picks_total{fingerprint,
+    strategy}]), both in {!summaries} order, for
+    {!Obs.Openmetrics.render}'s [extra].  Each series equals what the
+    cell's current summary says.  Only the cells that {!observe} or
+    {!record_pick} touched since the previous call are recomputed; the
+    others reuse the series built then. *)
 
 val to_table : ?k:int -> t -> string
 (** The [treequery top]-style end-of-run table: top-[k] (default 5)

@@ -67,10 +67,15 @@ module Quantile = struct
 
   let flush t =
     if t.npending > 0 then begin
+      (* one sort, then run lengths: (value, multiplicity) ascending *)
       let fresh =
-        List.sort_uniq compare t.pending
-        |> List.map (fun v ->
-               (v, List.length (List.filter (fun x -> x = v) t.pending)))
+        List.fold_left
+          (fun runs v ->
+            match runs with
+            | (u, w) :: rest when compare u v = 0 -> (u, w + 1) :: rest
+            | _ -> (v, 1) :: runs)
+          []
+          (List.sort (fun a b -> compare b a) t.pending)
       in
       t.pending <- [];
       t.npending <- 0;

@@ -637,6 +637,62 @@ let test_shard_spans_profiles_merge () =
     (List.mem_assoc "test_shard_scope_counter" p.Obs.profile_counters
     && List.assoc "test_shard_scope_counter" p.Obs.profile_counters = 9)
 
+(* Spans are frozen when they close: a captured report never changes
+   afterwards, and a later capture shares the same closed spans *)
+let test_report_immutable_shared () =
+  with_clean_obs @@ fun () ->
+  Obs.set_enabled true;
+  let sink = Obs.Trace.start_stream () in
+  let worker name =
+    let sh = Obs.Shard.create () in
+    Obs.Shard.run sh (fun () ->
+        Obs.Span.with_ ~attrs:[ ("w", Obs.Str name) ] name (fun () ->
+            Obs.Span.with_ (name ^ "-leaf") (fun () -> ())));
+    sh
+  in
+  let first = ref Obs.Report.empty in
+  Obs.Span.with_ ~attrs:[ ("k", Obs.Int 1) ] "a" (fun () ->
+      Obs.Span.with_ "a-child" (fun () -> Obs.Span.set_attr "n" (Obs.Int 2)));
+  Obs.Span.with_ "b" (fun () -> ());
+  Obs.Span.with_ "open" (fun () ->
+      Obs.Span.with_ "open-child" (fun () -> ());
+      first := Obs.Report.capture ();
+      let json = Obs.Report.to_json !first in
+      (* more closed spans, a late attribute on the still-open span and
+         worker spans grafted under it and at the root *)
+      Obs.Span.with_ "open-child-2" (fun () -> ());
+      Obs.Span.set_attr "late" (Obs.Int 7);
+      Obs.Shard.merge (worker "inner-worker");
+      Alcotest.(check string) "first report unchanged while open" json
+        (Obs.Report.to_json !first));
+  let json = Obs.Report.to_json !first in
+  Obs.Shard.merge (worker "root-worker");
+  Obs.Span.with_ "c" (fun () -> ());
+  let second = Obs.Report.capture () in
+  Alcotest.(check string) "first report unchanged" json (Obs.Report.to_json !first);
+  let r1 = !first.Obs.Report.spans and r2 = second.Obs.Report.spans in
+  Alcotest.(check int) "first report's roots" 2 (List.length r1);
+  Alcotest.(check (list string)) "second report's roots"
+    [ "a"; "b"; "open"; "root-worker"; "c" ]
+    (List.map (fun (s : Obs.Report.span) -> s.name) r2);
+  List.iteri
+    (fun i s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "root %d shared, not copied" i)
+        true
+        (s == List.nth r2 i))
+    r1;
+  let opened = List.nth r2 2 in
+  Alcotest.(check (list string)) "grafted and late spans under the open one"
+    [ "open-child"; "open-child-2"; "inner-worker" ]
+    (List.map (fun (s : Obs.Report.span) -> s.name) opened.children);
+  Alcotest.(check bool) "late attribute on the closed span" true
+    (List.mem_assoc "late" opened.attrs);
+  let streamed = Obs.Trace.stop_stream sink in
+  Alcotest.(check int) "streamed events = batch export"
+    (Obs.Trace.event_count (Obs.Trace.of_report second))
+    (Obs.Trace.event_count streamed)
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -671,4 +727,6 @@ let suite =
     Alcotest.test_case "shard counters merge" `Quick test_shard_counters_merge;
     Alcotest.test_case "shard spans and profiles merge" `Quick
       test_shard_spans_profiles_merge;
+    Alcotest.test_case "captured report is immutable and shared" `Quick
+      test_report_immutable_shared;
   ]

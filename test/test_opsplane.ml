@@ -400,6 +400,64 @@ let test_listener_loopback () =
           Alcotest.(check bool) "connections counted" true
             (Listener.connections l >= 6)))
 
+(* ------------------------------------------------------------------ *)
+(* publish cost: a host-independent allocation gate *)
+
+(* Minor words allocated by one publish after serving [h] requests and
+   then [delta] more, under a frozen clock.  A publish may grow with the
+   spans and profiles retained since start-up only by the list cells
+   that capture them; everything else it does (the touched cost-store
+   cells, the flight dump) must not depend on [h]. *)
+let publish_words ~tree ~shapes ~h ~delta =
+  Obs.reset ();
+  let store = Telemetry.Cost_store.create () in
+  let recorder = Telemetry.Flight_recorder.create () in
+  let optimizer = Optimizer.create ~store () in
+  let cfg = Serve.Server.config ~telemetry:store ~recorder ~optimizer () in
+  let nshapes = Array.length shapes in
+  let serve first n =
+    let reqs =
+      List.init n (fun i ->
+          { Serve.Workload.id = first + i; shape = (first + i) mod nshapes; arrival = None })
+    in
+    let stats = Serve.Server.run cfg tree shapes reqs in
+    Alcotest.(check int) "served" n stats.Serve.Server.served
+  in
+  let p = Snapshot.create ~start_time:0.0 () in
+  serve 0 h;
+  ignore (Snapshot.publish ~telemetry:store ~recorder ~at:0.0 p);
+  serve h delta;
+  let w0 = Gc.minor_words () in
+  ignore (Snapshot.publish ~telemetry:store ~recorder ~at:0.0 p);
+  Gc.minor_words () -. w0
+
+let test_publish_allocation_gate () =
+  Obs.reset ();
+  Obs.set_clock (fun () -> 0.0);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_clock Sys.time;
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      Obs.set_enabled true;
+      let tree = Treekit.Generator.xmark ~seed:11 ~scale:20 () in
+      let shapes =
+        mini_shapes
+          [
+            "//item"; "//person/name"; "//mail[date]"; "//a//b"; "//open_auction[bidder]";
+            "//category/name"; "//item[location]"; "//closed_auction/price";
+          ]
+      in
+      let h = 1000 and delta = 200 in
+      let w1 = publish_words ~tree ~shapes ~h ~delta in
+      let w3 = publish_words ~tree ~shapes ~h:(3 * h) ~delta in
+      let per_request = (w3 -. w1) /. float_of_int (2 * h) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f words per retained request (%.0f after %d, %.0f after %d)"
+           per_request w1 h w3 (3 * h))
+        true (per_request <= 4.0))
+
 let suite =
   [
     Alcotest.test_case "http: parse ok" `Quick test_parse_ok;
@@ -418,4 +476,6 @@ let suite =
     Alcotest.test_case "snapshot: monotone under pooled run" `Quick
       test_snapshot_monotone_pooled;
     Alcotest.test_case "listener: loopback scrape" `Quick test_listener_loopback;
+    Alcotest.test_case "snapshot: publish allocation gate" `Quick
+      test_publish_allocation_gate;
   ]

@@ -353,6 +353,131 @@ let test_metric_ticks_deterministic () =
         vt)
     t1
 
+(* ------------------------------------------------------------------ *)
+(* cost-store exposition *)
+
+module CS = Telemetry.Cost_store
+
+(* the exposition a store's current summaries call for, built from
+   scratch: every latency series in key order, then the picks series *)
+let series_of_summaries (ss : CS.summary list) =
+  let labels (s : CS.summary) =
+    [ ("fingerprint", s.CS.fingerprint); ("strategy", s.CS.strategy) ]
+  in
+  List.map
+    (fun (s : CS.summary) ->
+      {
+        Obs.Openmetrics.metric = "serve_fp_latency";
+        labels = labels s;
+        quantiles =
+          [ ("0.5", s.CS.p50); ("0.9", s.CS.p90); ("0.95", s.CS.p95); ("0.99", s.CS.p99) ];
+        sum = s.CS.mean_latency *. float_of_int s.CS.served;
+        count = s.CS.served;
+      })
+    ss
+  @ List.filter_map
+      (fun (s : CS.summary) ->
+        if s.CS.picks = 0 then None
+        else
+          Some
+            {
+              Obs.Openmetrics.metric = "serve_fp_picks";
+              labels = labels s;
+              quantiles = [];
+              sum = 0.0;
+              count = s.CS.picks;
+            })
+      ss
+
+type store_op = Observe of int * int * int | Pick of int * int | Expose
+
+let store_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map3 (fun f s l -> Observe (f, s, l)) (int_bound 5) (int_bound 2) (int_bound 40));
+        (3, map2 (fun f s -> Pick (f, s)) (int_bound 5) (int_bound 2));
+        (2, return Expose);
+      ])
+
+let store_op_print = function
+  | Observe (f, s, l) -> Printf.sprintf "observe(%d,%d,%d)" f s l
+  | Pick (f, s) -> Printf.sprintf "pick(%d,%d)" f s
+  | Expose -> "expose"
+
+(* the store recomputes only the cells touched since its previous
+   exposition: after any interleaving, each exposition must equal the
+   one built from scratch at that moment (small sketches, so flushes
+   and compaction happen between expositions too) *)
+let prop_incremental_exposition =
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity (String.concat " " (List.map store_op_print ops))
+  in
+  let gen = QCheck2.Gen.(pair (int_range 2 6) (list_size (int_range 0 80) store_op_gen)) in
+  QCheck_alcotest.to_alcotest ~long:false
+    (QCheck2.Test.make ~count:300 ~name:"incremental exposition = from scratch" ~print gen
+       (fun (capacity, ops) ->
+         let store = CS.create ~sketch_capacity:capacity ~clock:(fun () -> 0.0) () in
+         let fp i = Printf.sprintf "fp%d" i and strategy j = Printf.sprintf "s%d" j in
+         let agrees () = CS.openmetrics store = series_of_summaries (CS.summaries store) in
+         List.for_all
+           (function
+             | Observe (f, s, l) ->
+               ignore
+                 (CS.observe store ~fingerprint:(fp f) ~strategy:(strategy s) ~predicted:1.0
+                    ~observed:1.0
+                    ~latency:(float_of_int l *. 1e-3)
+                    ~counters:[]);
+               true
+             | Pick (f, s) ->
+               CS.record_pick store ~fingerprint:(fp f) ~strategy:(strategy s);
+               true
+             | Expose -> agrees ())
+           ops
+         && agrees ()))
+
+(* optimizer picks are counts, not latencies: one counter family, no
+   summary without quantiles *)
+let test_picks_counter_family () =
+  let store = CS.create ~clock:(fun () -> 0.0) () in
+  let observe fp strategy =
+    ignore
+      (CS.observe store ~fingerprint:fp ~strategy ~predicted:1.0 ~observed:1.0
+         ~latency:0.002 ~counters:[])
+  in
+  observe "fp-a" "yannakakis";
+  observe "fp-b" "xpath";
+  for _ = 1 to 12 do
+    CS.record_pick store ~fingerprint:"fp-a" ~strategy:"yannakakis"
+  done;
+  CS.record_pick store ~fingerprint:"fp-b" ~strategy:"datalog";
+  let text =
+    Obs.Openmetrics.render ~extra:(CS.openmetrics store) Obs.Report.empty
+  in
+  let lines = String.split_on_char '\n' text in
+  let has l = List.mem l lines in
+  let starts_with prefix l = String.starts_with ~prefix l in
+  Alcotest.(check bool) "picks typed counter" true
+    (has "# TYPE treequery_serve_fp_picks counter");
+  Alcotest.(check int) "one picks family" 1
+    (List.length (List.filter (starts_with "# TYPE treequery_serve_fp_picks") lines));
+  Alcotest.(check bool) "picks sample" true
+    (has "treequery_serve_fp_picks_total{fingerprint=\"fp-a\",strategy=\"yannakakis\"} 12");
+  Alcotest.(check bool) "pick-only cell sample" true
+    (has "treequery_serve_fp_picks_total{fingerprint=\"fp-b\",strategy=\"datalog\"} 1");
+  Alcotest.(check bool) "no picks latency summary" false
+    (List.exists (starts_with "treequery_serve_fp_picks_seconds") lines);
+  (* every summary family has quantile samples ([m{...}] lines; its
+     count and sum lines are [m_count] and [m_sum]) *)
+  List.iter
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; m; "summary" ] ->
+        Alcotest.(check bool) (m ^ " has quantiles") true
+          (List.exists (starts_with (m ^ "{")) lines)
+      | _ -> ())
+    lines
+
 let suite =
   [
     Alcotest.test_case "sketch exact under capacity" `Quick
@@ -381,4 +506,7 @@ let suite =
       test_standard_run_dump_free;
     Alcotest.test_case "metric ticks deterministic under fake clock" `Quick
       test_metric_ticks_deterministic;
+    prop_incremental_exposition;
+    Alcotest.test_case "picks exposed as a counter family" `Quick
+      test_picks_counter_family;
   ]
