@@ -1,6 +1,9 @@
 (* The benchmark harness: regenerates every table and figure of the paper
    (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the recorded
-   outcomes), then runs one Bechamel micro-benchmark per experiment id. *)
+   outcomes), then runs one Bechamel micro-benchmark per experiment id.
+   `--baseline FILE` / `--check FILE` record and replay the exact counter
+   gate instead (see baseline.ml; the committed file is
+   bench/counters.json). *)
 
 let experiments =
   [
@@ -26,11 +29,6 @@ let experiments =
     ("qualified-streaming", Exp_mso.qualified_streaming);
     ("dynlabel", Exp_updates.dynlabel);
     ("yannakakis-relational", Exp_updates.relational_yannakakis);
-    ("serving", Exp_serving.serving);
-    ("serving-parallel", Exp_serving.parallel);
-    ("serving-auto", Exp_serving.auto_vs_fixed);
-    ("subscribe", fun () -> ignore (Exp_subscribe.run ()));
-    ("serving-ops", Exp_serving.ops_plane);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -171,53 +169,18 @@ let () =
   let args = List.filter (fun a -> a <> "--no-bechamel") args in
   let baseline_file, args = extract_opt "--baseline" args in
   let check_file, args = extract_opt "--check" args in
-  let serving_file, args = extract_opt "--serving-json" args in
-  let pr7_file, args = extract_opt "--pr7-json" args in
-  let pr8_file, args = extract_opt "--pr8-json" args in
-  let pr9_file, args = extract_opt "--pr9-json" args in
-  let pr10_file, args = extract_opt "--pr10-json" args in
   Obs.set_clock Unix.gettimeofday;
   (match baseline_file with Some f -> Baseline.run_baseline f | None -> ());
   (match check_file with Some f -> Baseline.check f | None -> ());
-  (match serving_file with
-  | Some f ->
-    Obs.with_enabled true (fun () -> Exp_serving.write_json f);
-    if List.exists (fun (_, ok) -> not ok) !Bench_util.checks then exit 1
-  | None -> ());
-  (match pr7_file with
-  | Some f ->
-    Obs.with_enabled true (fun () -> Exp_serving.write_pr7_json f);
-    if List.exists (fun (_, ok) -> not ok) !Bench_util.checks then exit 1
-  | None -> ());
-  (match pr8_file with
-  | Some f ->
-    Obs.with_enabled true (fun () -> Exp_serving.write_pr8_json f);
-    if List.exists (fun (_, ok) -> not ok) !Bench_util.checks then exit 1
-  | None -> ());
-  (match pr9_file with
-  | Some f ->
-    Obs.with_enabled true (fun () -> Exp_subscribe.write_pr9_json f);
-    if List.exists (fun (_, ok) -> not ok) !Bench_util.checks then exit 1
-  | None -> ());
-  (match pr10_file with
-  | Some f ->
-    Obs.with_enabled true (fun () -> Exp_serving.write_pr10_json f);
-    if List.exists (fun (_, ok) -> not ok) !Bench_util.checks then exit 1
-  | None -> ());
-  if
-    baseline_file <> None || check_file <> None || serving_file <> None
-    || pr7_file <> None || pr8_file <> None || pr9_file <> None
-    || pr10_file <> None
-  then exit 0;
+  if baseline_file <> None || check_file <> None then exit 0;
   let selected = if args = [] then List.map fst experiments else args in
   Obs.set_enabled true;
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
       | Some f ->
-        (* per-experiment counter snapshot: BENCH_*.json trajectories can
-           track work done (propagations, semijoins, events), not just
-           wall-clock *)
+        (* per-experiment counter snapshot: the work done (propagations,
+           semijoins, events), not just wall-clock *)
         Obs.reset ();
         f ();
         Bench_util.obs_snapshot name

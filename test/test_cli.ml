@@ -9,11 +9,17 @@
    clean one-line error and the CLI failure status (124), never a
    Division_by_zero or a hung pool spawn. *)
 
-let exe = Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/main.exe"
+let exe =
+  let path = Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/main.exe" in
+  if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path
 
-(* run a command line, return (exit_code, combined output) *)
-let run_cli args =
+(* run a command line (in [cwd] when given), return (exit_code, combined
+   output) *)
+let run_cli ?cwd args =
   let cmd = Filename.quote_command exe args ^ " 2>&1" in
+  let cmd =
+    match cwd with None -> cmd | Some d -> "cd " ^ Filename.quote d ^ " && " ^ cmd
+  in
   let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 256 in
   (try
@@ -101,6 +107,19 @@ let test_filter_match_column () =
     [ "MATCH  //a/b"; "-      //zzz"; "MATCH  //a/b" ]
     lines
 
+(* attest writes a report only when --out names one: a fault-injection
+   run from a checkout must not replace the committed attestation with a
+   failing report *)
+let test_attest_writes_only_with_out () =
+  let dir = Filename.temp_dir "attest" "" in
+  let report = Filename.concat dir "BENCH_pr5.json" in
+  let code, _ = run_cli ~cwd:dir [ "attest"; "--seed"; "7"; "--inject" ] in
+  let written = Sys.file_exists report in
+  if written then Sys.remove report;
+  Sys.rmdir dir;
+  Alcotest.(check bool) "injected attest exits nonzero" true (code <> 0);
+  Alcotest.(check bool) "no report without --out" false written
+
 let suite =
   [
     Alcotest.test_case "serve --domains 0 fails cleanly" `Quick
@@ -119,4 +138,6 @@ let suite =
       test_strategy_auto_serves;
     Alcotest.test_case "filter marks matching patterns" `Quick
       test_filter_match_column;
+    Alcotest.test_case "attest writes no report without --out" `Slow
+      test_attest_writes_only_with_out;
   ]
