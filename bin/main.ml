@@ -250,8 +250,7 @@ let explain_cmd =
                   ~labels:Treekit.Generator.labels_abc ()
               else load_document ~xml_file ~xml ~random ~xmark ~seed:common.seed
             in
-            let opt = Optimizer.create ~epsilon:0.0 ~seed:common.seed () in
-            let d = Optimizer.seeded_decision opt doc (Engine.prepare q) in
+            let d = Optimizer.decide (Optimizer.create ()) doc (Engine.prepare q) in
             Engine.explain
               ~auto:(d.Optimizer.d_strategy, Optimizer.explain_decision d)
               q
@@ -314,7 +313,7 @@ let filter_cmd =
 let serve_cmd =
   let run xml_file xml random xmark requests concurrency shapes cache_size ttl
       deadline_ms batch stream_prefilter workload domains wall_clock strategy
-      optimizer_out metrics_out metrics_every telemetry_out residual_threshold
+      metrics_out metrics_every telemetry_out residual_threshold
       flight_out dump_flight inject_overbudget ops_listen common =
     handle_errors @@ fun () ->
     let kind =
@@ -323,6 +322,17 @@ let serve_cmd =
       | Error m -> failwith m
     in
     if domains < 1 then failwith "--domains must be >= 1";
+    if requests < 0 then failwith "--requests must be >= 0";
+    if shapes < 1 then failwith "--shapes must be >= 1";
+    if cache_size < 0 then failwith "--cache-size must be >= 0";
+    (match ttl with Some t when t <= 0.0 -> failwith "--ttl must be > 0" | _ -> ());
+    (match deadline_ms with
+    | Some d when d <= 0.0 -> failwith "--deadline-ms must be > 0"
+    | _ -> ());
+    if stream_prefilter && not batch then
+      failwith "--stream-prefilter requires --batch";
+    if dump_flight && flight_out = None then
+      failwith "--dump-flight requires --flight-out";
     if metrics_every <> None && metrics_out = None && ops_listen = None then
       failwith "--metrics-every requires --metrics-out or --ops-listen";
     (* --strategy: "default" (the planner's static pick), "auto" (the
@@ -340,8 +350,6 @@ let serve_cmd =
                "unknown --strategy %S (use \"default\", \"auto\" or a strategy name)"
                name))
     in
-    if optimizer_out <> None && strategy_mode <> `Auto then
-      failwith "--optimizer-out requires --strategy auto";
     (* per-fingerprint telemetry rides along whenever a sink wants it:
        any telemetry flag, or --stats-json (which then carries the
        per-fingerprint summaries) *)
@@ -363,7 +371,7 @@ let serve_cmd =
     in
     let optimizer =
       match strategy_mode with
-      | `Auto -> Some (Optimizer.create ~seed:common.seed ?store ())
+      | `Auto -> Some (Optimizer.create ?store ())
       | `Default | `Fixed _ -> None
     in
     let snapshots = ref 0 in
@@ -562,11 +570,8 @@ let serve_cmd =
           if i < 8 then Printf.printf "  %-28s -> %s\n" fp c)
         settled;
       if List.length settled > 8 then
-        Printf.printf "  ... and %d more (see --optimizer-out)\n"
-          (List.length settled - 8);
-      match optimizer_out with
-      | None -> ()
-      | Some path -> Obs.Json.write_file path (Optimizer.to_json o));
+        Printf.printf "  ... and %d more (see --stats-json)\n"
+          (List.length settled - 8));
     if metrics_every <> None then
       Printf.printf "metrics:     %d periodic snapshots (every %gs virtual)\n"
         !snapshots
@@ -659,10 +664,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "wall-clock" ] ~doc:"Honour open-loop arrival times in real time (sleeping between arrivals) instead of the deterministic virtual clock, and draw the request stream by seed-splitting so it is identical for every --domains count.")
   in
   let strategy_arg =
-    Arg.(value & opt string "default" & info [ "strategy" ] ~docv:"MODE" ~doc:"\"default\" uses the planner's static pick per query; \"auto\" routes each shape through the adaptive optimizer (seeded cost estimates refined online by observed latency, converged picks persisted in the plan cache); a strategy name (e.g. \"bottom-up-xpath\") pins every shape that strategy can evaluate.")
-  in
-  let optimizer_out_arg =
-    Arg.(value & opt (some string) None & info [ "optimizer-out" ] ~docv:"FILE" ~doc:"With --strategy auto: write the optimizer's per-fingerprint arm table (seeded estimates, trials, latency EWMAs, converged choices) as JSON to $(docv); '-' for stdout.")
+    Arg.(value & opt string "default" & info [ "strategy" ] ~docv:"MODE" ~doc:"\"default\" uses the planner's static pick per query; \"auto\" routes each shape through the adaptive optimizer (seeded cost estimates; each plausible strategy observed twice, then the lowest observed latency), whose per-shape table --stats-json reports under \"optimizer\"; a strategy name (e.g. \"bottom-up-xpath\") pins every shape that strategy can evaluate.")
   in
   let metrics_out_arg =
     Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write an OpenMetrics text exposition of the run's counters, latency histograms and per-fingerprint latency summaries to $(docv).")
@@ -697,7 +699,7 @@ let serve_cmd =
        $ requests_arg $ concurrency_arg $ shapes_arg $ cache_size_arg
        $ ttl_arg $ deadline_arg $ batch_arg $ stream_prefilter_arg
        $ workload_arg $ domains_arg $ wall_clock_arg $ strategy_arg
-       $ optimizer_out_arg $ metrics_out_arg $ metrics_every_arg
+       $ metrics_out_arg $ metrics_every_arg
        $ telemetry_out_arg $ residual_threshold_arg $ flight_out_arg
        $ dump_flight_arg $ inject_overbudget_arg $ ops_listen_arg
        $ common_term))

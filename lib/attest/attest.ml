@@ -224,7 +224,7 @@ let sweep_optimizer_with ~invert ~sizes ~seed =
       let q = Engine.parse_xpath "//a/following::b" in
       let default = Engine.prepare q in
       let store = Telemetry.Cost_store.create ~clock:(fun () -> 0.0) () in
-      let opt = Optimizer.create ~epsilon:0.0 ~invert ~seed ~store () in
+      let opt = Optimizer.create ~invert ~store () in
       let work (p : Engine.prepared) =
         let before = Obs.Counter.snapshot () in
         ignore (p.Engine.exec t);
@@ -233,22 +233,21 @@ let sweep_optimizer_with ~invert ~sizes ~seed =
       let floor =
         traced (fun () ->
             (* explore until the entry converges; the inverted optimizer
-               never converges — its every decision is already the forced
-               worst arm, which is exactly what the fault injects *)
-            let converged = ref invert and guard = ref 0 in
-            while (not !converged) && !guard < 32 do
+               is not driven at all — its every decision is already the
+               forced worst arm, which is exactly what the fault injects *)
+            let guard = ref 0 in
+            while
+              (not invert)
+              && (Optimizer.stats opt).Optimizer.converged = 0
+              && !guard < 32
+            do
               incr guard;
               let d = Optimizer.decide opt t default in
-              let strategy = Engine.strategy_name d.Optimizer.d_strategy in
               let w = float_of_int (work d.Optimizer.d_prepared) in
               ignore
                 (Telemetry.Cost_store.observe store ~fingerprint:default.Engine.fp
-                   ~strategy ~predicted:0.0 ~observed:w ~latency:w ~counters:[]);
-              match
-                Optimizer.observe opt ~canon:default.Engine.canon ~strategy ~cost:w
-              with
-              | Some _ -> converged := true
-              | None -> ()
+                   ~strategy:(Engine.strategy_name d.Optimizer.d_strategy)
+                   ~predicted:0.0 ~observed:w ~latency:w ~counters:[])
             done;
             let d = Optimizer.decide opt t default in
             Obs.Counter.add c_picked_cost (work d.Optimizer.d_prepared);

@@ -526,20 +526,20 @@ let plan_cache =
 (* ------------------------------------------------------------------ *)
 (* Adaptive optimizer routing *)
 
-(* Whichever arm the optimizer routes a query to — cold (seeded
-   estimates, round-robin exploration) or warm (a pick persisted on the
-   plan-cache entry) — the answers must be indistinguishable from every
+(* Whichever arm the optimizer routes a query to — exploring, or the
+   converged argmin — the answers must be indistinguishable from every
    fixed strategy the query admits, node set and boolean alike.  The
-   optimizer and cache are shared across cases so repeated shapes hit
-   warm entries with stored picks: one sweep exercises both states.
-   No cost store is attached, so the optimizer ranks arms by their
-   seeded estimates and convergence (and hence the routing sequence) is
-   a pure function of the case stream — seed-replayable. *)
+   optimizer, its store and the cache are shared across cases, so
+   repeated shapes reach converged entries: one sweep exercises both
+   states.  Each decision's seeded estimate is recorded in the store as
+   its latency and its cost, under a frozen clock, so convergence (and
+   hence the routing sequence) is a pure function of the case stream —
+   seed-replayable. *)
 let optimizer_pick =
   let shared =
     lazy
-      ( Serve.Plan_cache.create ~capacity:64 (),
-        Optimizer.create ~epsilon:0.25 ~min_trials:1 ~seed:0 () )
+      (let store = Telemetry.Cost_store.create ~clock:(fun () -> 0.0) () in
+       (Serve.Plan_cache.create ~capacity:64 (), store, Optimizer.create ~store ()))
   in
   {
     name = "optimizer-pick";
@@ -561,29 +561,19 @@ let optimizer_pick =
         match query with
         | None -> wrong_query "optimizer-pick" c
         | Some q ->
-          let cache, opt = Lazy.force shared in
+          let cache, store, opt = Lazy.force shared in
           let _, default = Serve.Plan_cache.find cache q in
-          let canon = default.E.canon in
-          let pinned =
-            Option.map
-              (fun pk -> pk.Serve.Plan_cache.pick_strategy)
-              (Serve.Plan_cache.pick cache ~canon)
-          in
-          let d = Optimizer.decide opt ?pinned c.tree default in
+          let d = Optimizer.decide opt c.tree default in
           let auto = d.Optimizer.d_prepared in
           let auto_set = auto.E.exec c.tree in
           let auto_bool = auto.E.exec_boolean c.tree in
           (* close the loop the way the serving layer does, with the
-             estimate standing in for cost so routing stays
-             deterministic; a convergence persists the pick *)
-          (match
-             Optimizer.observe opt ~canon
+             estimate standing in for latency and cost *)
+          let est = d.Optimizer.d_estimate in
+          ignore
+            (Telemetry.Cost_store.observe store ~fingerprint:default.E.fp
                ~strategy:(E.strategy_name d.Optimizer.d_strategy)
-               ~cost:d.Optimizer.d_estimate
-           with
-          | Some (strategy, cost) ->
-            Serve.Plan_cache.set_pick cache ~canon ~strategy ~cost
-          | None -> ());
+               ~predicted:0.0 ~observed:est ~latency:est ~counters:[]);
           List.fold_left
             (fun acc s ->
               match acc with

@@ -6,7 +6,6 @@ module Tree = Treekit.Tree
 let c_decisions = Obs.Counter.make "optimizer_decisions"
 let c_explorations = Obs.Counter.make "optimizer_explorations"
 let c_converged = Obs.Counter.make "optimizer_converged"
-let c_cached_picks = Obs.Counter.make "optimizer_cached_picks"
 
 (* ------------------------------------------------------------------ *)
 (* Tree statistics: the |D|-side inputs of the seeded estimates.        *)
@@ -14,22 +13,10 @@ let c_cached_picks = Obs.Counter.make "optimizer_cached_picks"
 module Stats = struct
   type t = {
     nodes : int;
-    height : int;
-    branching : float;
     tree : Tree.t;  (* for lazy label-frequency lookups *)
   }
 
-  let of_tree tree =
-    let nodes = Tree.size tree in
-    let height = max 1 (Tree.height tree) in
-    {
-      nodes;
-      height;
-      (* mean fan-out b solving b^height ≈ nodes: cheap, and enough to
-         tell a skinny chain from a bushy document *)
-      branching = Float.pow (float_of_int (max 1 nodes)) (1.0 /. float_of_int height);
-      tree;
-    }
+  let of_tree tree = { nodes = Tree.size tree; tree }
 
   let label_frequency t l =
     if t.nodes = 0 then 0.0
@@ -101,7 +88,7 @@ let estimate stats (p : Engine.prepared) =
   | Engine.Xpath_fo2 -> n *. n *. q
 
 (* ------------------------------------------------------------------ *)
-(* Bandit state                                                         *)
+(* Routing state                                                        *)
 
 (* elementary operations per second: converts seeded estimates into
    pseudo-latencies comparable with observed seconds, and prices
@@ -112,29 +99,30 @@ let ops_per_second = 5e7
    best; the rest are never explored *)
 let explore_span = 16.0
 
+(* observations of every plausible arm before an entry converges *)
+let trials_needed = 2
+
 type arm = {
   strategy : Engine.strategy;
   name : string;
   prepared : Engine.prepared;
   arm_estimate : float;
   explorable : bool;  (* estimate within [explore_span] of the best *)
-  mutable trials : int;
-  mutable cost_total : float;  (* observed profile counter ops *)
 }
 
+(* What an entry learns is in the cost store; it memoises only whether
+   that is already enough. *)
 type entry = {
   canon : string;
   fp : string;
   arms : arm array;
+  plausible : arm array;  (* the explorable arms, in strategy order *)
   mutable decisions : int;
   mutable converged : bool;
 }
 
 type t = {
-  epsilon : float;
-  min_trials : int;
   invert : bool;
-  rng : Random.State.t;
   store : Telemetry.Cost_store.t option;
   lock : Mutex.t;
   entries : (string, entry) Hashtbl.t;
@@ -142,23 +130,17 @@ type t = {
   mutable total_explorations : int;
 }
 
-let create ?(epsilon = 0.1) ?(min_trials = 2) ?(seed = 0) ?(invert = false)
-    ?store () =
-  if epsilon < 0.0 || epsilon > 1.0 then
-    invalid_arg "Optimizer.create: epsilon must be in [0, 1]";
-  if min_trials < 1 then
-    invalid_arg "Optimizer.create: min_trials must be >= 1";
+let create ?(invert = false) ?store () =
   {
-    epsilon;
-    min_trials;
     invert;
-    rng = Random.State.make [| seed; 0x0b71 |];
     store;
     lock = Mutex.create ();
     entries = Hashtbl.create 64;
     total_decisions = 0;
     total_explorations = 0;
   }
+
+let store t = t.store
 
 let locked t f =
   Mutex.lock t.lock;
@@ -195,34 +177,55 @@ let entry_of t tree (default : Engine.prepared) =
                prepared = p;
                arm_estimate = est;
                explorable = est <= best *. explore_span;
-               trials = 0;
-               cost_total = 0.0;
              })
            with_estimates)
+    in
+    let plausible =
+      Array.of_list (List.filter (fun a -> a.explorable) (Array.to_list arms))
     in
     let e =
       {
         canon = default.Engine.canon;
         fp = default.Engine.fp;
         arms;
+        plausible;
         decisions = 0;
-        converged = Array.length arms <= 1;
+        (* nothing to learn: one plausible arm, or no store to learn from *)
+        converged = Array.length plausible <= 1 || Option.is_none t.store;
       }
     in
     Hashtbl.add t.entries default.Engine.canon e;
     e
 
-(* an arm's current score, as (pseudo-)latency: the cost store's EWMA
-   once the store has seen the cell, the seeded estimate converted at
-   [ops_per_second] otherwise — so an optimizer without a store ranks by
+(* an arm's observation count and latency EWMA, read from the store *)
+let observations t (e : entry) (a : arm) =
+  match t.store with
+  | Some store ->
+    Telemetry.Cost_store.observations store ~fingerprint:e.fp ~strategy:a.name
+  | None -> (0, 0.0)
+
+(* an arm's current score, as (pseudo-)latency: the store's EWMA once it
+   has observed the arm, the seeded estimate converted at
+   [ops_per_second] otherwise — so a store-less optimizer ranks by
    estimate *)
-let score t (e : entry) (a : arm) =
-  match
-    Option.bind t.store (fun store ->
-        Telemetry.Cost_store.ewma_latency store ~fingerprint:e.fp ~strategy:a.name)
-  with
-  | Some l -> l
-  | None -> a.arm_estimate /. ops_per_second
+let score t e a =
+  match observations t e a with
+  | 0, _ -> a.arm_estimate /. ops_per_second
+  | _, l -> l
+
+(* set once every plausible arm has [trials_needed] observations; read
+   from the store, so it flips when the last needed observation lands *)
+let converged t e =
+  if
+    (not e.converged)
+    && Array.for_all
+         (fun a -> fst (observations t e a) >= trials_needed)
+         e.plausible
+  then begin
+    e.converged <- true;
+    Obs.Counter.incr c_converged
+  end;
+  e.converged
 
 let argmin_by f arms =
   let best = ref arms.(0) and best_v = ref (f arms.(0)) in
@@ -238,7 +241,6 @@ let argmin_by f arms =
 
 type reason =
   | Only_candidate
-  | Cached_pick
   | Exploring
   | Converged
   | Seeded
@@ -246,7 +248,6 @@ type reason =
 
 let reason_to_string = function
   | Only_candidate -> "only candidate"
-  | Cached_pick -> "plan-cache pick, exploration skipped"
   | Exploring -> "exploring"
   | Converged -> "converged argmin"
   | Seeded -> "seeded estimate argmin, no observations yet"
@@ -267,7 +268,7 @@ let explain_decision d =
     (String.concat ", "
        (List.map (fun (n, e) -> Printf.sprintf "%s=%.3g" n e) d.d_candidates))
 
-let decide t ?pinned tree (default : Engine.prepared) =
+let decide t tree (default : Engine.prepared) =
   locked t @@ fun () ->
   let e = entry_of t tree default in
   e.decisions <- e.decisions + 1;
@@ -279,48 +280,15 @@ let decide t ?pinned tree (default : Engine.prepared) =
       (* attestation fault injection: route to the most expensive
          estimate so the never-worse gate provably fires *)
       (argmin_by (fun a -> -.a.arm_estimate) e.arms, Injected_worst)
-    else
-      match
-        Option.bind pinned (fun name ->
-            Array.find_opt (fun a -> a.name = name) e.arms)
-      with
-      | Some a ->
-        (* a warm fleet's persisted pick: trust it and stop exploring *)
-        e.converged <- true;
-        Obs.Counter.incr c_cached_picks;
-        (a, Cached_pick)
-      | None ->
-        let explorable = Array.of_list
-            (List.filter (fun a -> a.explorable)
-               (Array.to_list e.arms))
-        in
-        let explorable = if Array.length explorable = 0 then e.arms else explorable in
-        let under =
-          List.filter (fun a -> a.trials < t.min_trials)
-            (Array.to_list explorable)
-        in
-        if under <> [] then begin
-          t.total_explorations <- t.total_explorations + 1;
-          Obs.Counter.incr c_explorations;
-          (* epsilon-greedy while warming up: mostly round-robin the
-             under-tried arms (fewest trials first), an epsilon of
-             uniform draws across the plausible set *)
-          if t.epsilon > 0.0 && Random.State.float t.rng 1.0 < t.epsilon then
-            (explorable.(Random.State.int t.rng (Array.length explorable)),
-             Exploring)
-          else
-            ( List.fold_left
-                (fun acc a -> if a.trials < acc.trials then a else acc)
-                (List.hd under) (List.tl under),
-              Exploring )
-        end
-        else begin
-          if not e.converged then begin
-            e.converged <- true;
-            Obs.Counter.incr c_converged
-          end;
-          (argmin_by (score t e) explorable, Converged)
-        end
+    else if converged t e then
+      ( argmin_by (score t e) e.plausible,
+        if Option.is_none t.store then Seeded else Converged )
+    else begin
+      t.total_explorations <- t.total_explorations + 1;
+      Obs.Counter.incr c_explorations;
+      ( argmin_by (fun a -> float_of_int (fst (observations t e a))) e.plausible,
+        Exploring )
+    end
   in
   (match t.store with
   | Some store ->
@@ -336,50 +304,6 @@ let decide t ?pinned tree (default : Engine.prepared) =
       Array.to_list (Array.map (fun a -> (a.name, a.arm_estimate)) e.arms);
   }
 
-(* the decision the optimizer would converge to from estimates alone —
-   what [treequery explain --strategy auto] reports without serving *)
-let seeded_decision t tree (default : Engine.prepared) =
-  locked t @@ fun () ->
-  let e = entry_of t tree default in
-  let best =
-    if Array.length e.arms = 1 then e.arms.(0)
-    else argmin_by (fun a -> a.arm_estimate) e.arms
-  in
-  {
-    d_prepared = best.prepared;
-    d_strategy = best.strategy;
-    d_reason = (if Array.length e.arms = 1 then Only_candidate else Seeded);
-    d_estimate = best.arm_estimate;
-    d_candidates =
-      Array.to_list (Array.map (fun a -> (a.name, a.arm_estimate)) e.arms);
-  }
-
-let observe t ~canon ~strategy ~cost =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.entries canon with
-  | None -> None
-  | Some e -> (
-    (match Array.find_opt (fun a -> a.name = strategy) e.arms with
-    | None -> ()
-    | Some a ->
-      a.trials <- a.trials + 1;
-      a.cost_total <- a.cost_total +. cost);
-    let explorable = List.filter (fun a -> a.explorable) (Array.to_list e.arms) in
-    let explorable = if explorable = [] then Array.to_list e.arms else explorable in
-    if List.for_all (fun a -> a.trials >= t.min_trials) explorable then begin
-      if not e.converged then begin
-        e.converged <- true;
-        Obs.Counter.incr c_converged
-      end;
-      let best = argmin_by (score t e) (Array.of_list explorable) in
-      let mean_cost =
-        if best.trials > 0 then best.cost_total /. float_of_int best.trials
-        else best.arm_estimate
-      in
-      Some (best.name, mean_cost)
-    end
-    else None)
-
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                            *)
 
@@ -388,7 +312,6 @@ type arm_report = {
   r_estimate : float;
   r_trials : int;
   r_score : float;  (* what the argmin ranks by, seconds *)
-  r_mean_cost : float;
   r_explorable : bool;
 }
 
@@ -405,19 +328,15 @@ let report t =
   locked t @@ fun () ->
   Hashtbl.fold
     (fun _ (e : entry) acc ->
-      let explorable = List.filter (fun a -> a.explorable) (Array.to_list e.arms) in
-      let explorable = if explorable = [] then Array.to_list e.arms else explorable in
-      let choice =
-        if e.converged || Array.length e.arms = 1 then
-          Some (argmin_by (score t e) (Array.of_list explorable)).name
-        else None
-      in
+      let converged = converged t e in
       {
         r_fingerprint = e.fp;
         r_canon = e.canon;
         r_decisions = e.decisions;
-        r_converged = e.converged;
-        r_choice = choice;
+        r_converged = converged;
+        r_choice =
+          (if converged then Some (argmin_by (score t e) e.plausible).name
+           else None);
         r_arms =
           Array.to_list
             (Array.map
@@ -425,12 +344,8 @@ let report t =
                  {
                    r_strategy = a.name;
                    r_estimate = a.arm_estimate;
-                   r_trials = a.trials;
+                   r_trials = fst (observations t e a);
                    r_score = score t e a;
-                   r_mean_cost =
-                     (if a.trials > 0 then
-                        a.cost_total /. float_of_int a.trials
-                      else 0.0);
                    r_explorable = a.explorable;
                  })
                e.arms);
@@ -452,7 +367,7 @@ let stats t =
     entries = Hashtbl.length t.entries;
     converged =
       Hashtbl.fold
-        (fun _ (e : entry) acc -> if e.converged then acc + 1 else acc)
+        (fun _ e acc -> if converged t e then acc + 1 else acc)
         t.entries 0;
     decisions = t.total_decisions;
     explorations = t.total_explorations;
@@ -490,7 +405,6 @@ let to_json t =
                                 ("estimate", Obs.Json.Num a.r_estimate);
                                 ("trials", Obs.Json.Num (float_of_int a.r_trials));
                                 ("score_ms", Obs.Json.Num (a.r_score *. 1000.0));
-                                ("mean_cost", Obs.Json.Num a.r_mean_cost);
                                 ("explorable", Obs.Json.Bool a.r_explorable);
                               ])
                           r.r_arms) );

@@ -5,39 +5,32 @@
     query ({!Treequery.Engine.strategies}), seeded with a static cost
     estimate: the paper's per-strategy bound shape — the same shapes
     admission control prices with — with the data term narrowed by label
-    selectivity (rarest query-mentioned label frequency) and tree
-    statistics (size, height, mean fan-out) from the document's label
-    index.
+    selectivity (rarest query-mentioned label frequency) over the
+    document's size.
 
-    Decisions are epsilon-greedy over the {e plausible set} (arms whose
-    estimate is within a factor 16 of the best): each plausible arm is
-    tried [min_trials] times — mostly round-robin, an [epsilon] of
-    uniform draws — after which the entry {e converges} and every later
-    decision is the argmin by latency.  An arm's latency is the
-    {!Telemetry.Cost_store} EWMA of the store given to {!create}, so
-    routing tracks the same online estimate the sketches export; a caller
-    that learns from observations records them into the store before
-    {!observe}.  Until the store has seen an arm — and always, when no
-    store is attached — the arm ranks by its seeded estimate at
-    {!ops_per_second}.  With [epsilon = 0] and deterministic latencies
-    the whole process is deterministic, and a converged entry never
-    regresses.
+    The routing state a shape learns lives in one place: the
+    {!Telemetry.Cost_store} given to {!create}.  A decision reads each
+    {e plausible} arm's (estimate within a factor 16 of the best)
+    observation count and latency EWMA from the store.  Until every
+    plausible arm has been observed twice it explores the arm with the
+    fewest observations (first in strategy order on ties); from then on
+    the entry has {e converged} and every decision is the argmin by the
+    EWMA.  The optimizer records nothing itself: a caller that wants it
+    to learn records each execution into the store, as
+    {!Serve.Server.run} does.  With deterministic latencies the whole
+    process is deterministic, and a converged entry never regresses.
+
+    An entry with nothing to learn is converged when it is created: one
+    whose plausible set is a single arm, and every entry of an optimizer
+    without a store, which routes by the seeded estimates alone — the
+    decision [treequery explain --strategy auto] reports.
 
     Implausible arms — e.g. the O(n²·|Q|) FO² embedding on a large
     document — are never explored: their seeded estimate already rules
-    them out, which is what keeps cold-start exploration cheap.
-
-    The serving layer persists a converged pick in its
-    {!Serve.Plan_cache} entry and passes it back as [?pinned] on later
-    decisions, so a warm fleet skips exploration entirely. *)
+    them out, which is what keeps cold-start exploration cheap. *)
 
 module Stats : sig
-  type t = {
-    nodes : int;
-    height : int;
-    branching : float;  (** mean fan-out b solving b{^ height} ≈ nodes *)
-    tree : Treekit.Tree.t;
-  }
+  type t = { nodes : int; tree : Treekit.Tree.t }
 
   val of_tree : Treekit.Tree.t -> t
 
@@ -61,34 +54,23 @@ val ops_per_second : float
 
 type t
 
-val create :
-  ?epsilon:float ->
-  ?min_trials:int ->
-  ?seed:int ->
-  ?invert:bool ->
-  ?store:Telemetry.Cost_store.t ->
-  unit ->
-  t
-(** [epsilon] (default 0.1) is the warm-up exploration rate — pass [0.]
-    for fully deterministic routing; [min_trials] (default 2) is the
-    per-plausible-arm trial count before convergence; [seed] drives the
-    epsilon draws; [store] attaches the telemetry cost store the argmin
-    reads latency EWMAs from (and pick counters are reported to).
+val create : ?invert:bool -> ?store:Telemetry.Cost_store.t -> unit -> t
+(** [store] is the telemetry cost store routing learns from (and pick
+    counters are reported to).
 
     [invert] is fault injection for the attestation gate: every
     decision routes to the {e worst} estimated arm, which on XPath
     inputs forces the quadratic FO² embedding and makes the
-    never-worse slope bound provably fail.
+    never-worse slope bound provably fail. *)
 
-    Raises [Invalid_argument] on [epsilon] outside [0,1] or
-    [min_trials < 1]. *)
+val store : t -> Telemetry.Cost_store.t option
+(** The store given to {!create}. *)
 
 type reason =
   | Only_candidate  (** single arm; nothing to pick *)
-  | Cached_pick  (** warm [?pinned] pick honored, exploration skipped *)
-  | Exploring  (** warm-up: an under-tried plausible arm *)
+  | Exploring  (** warm-up: the least-observed plausible arm *)
   | Converged  (** argmin by latency (store EWMA, else estimate) *)
-  | Seeded  (** {!seeded_decision}: estimate argmin, no observations *)
+  | Seeded  (** estimate argmin of an optimizer without a store *)
   | Injected_worst  (** [invert] fault injection *)
 
 type decision = {
@@ -99,31 +81,11 @@ type decision = {
   d_candidates : (string * float) list;  (** all arms, name × estimate *)
 }
 
-val decide :
-  t -> ?pinned:string -> Treekit.Tree.t -> Treequery.Engine.prepared -> decision
+val decide : t -> Treekit.Tree.t -> Treequery.Engine.prepared -> decision
 (** Route one request: given the planner-default prepared plan, return
-    the arm to execute.  [?pinned] is a persisted pick (strategy name)
-    from a previous convergence — when it names a live arm the entry
-    converges immediately and exploration is skipped.  The first call
-    for a canonical form prepares the sibling arms (once; they are
-    cached with the entry).  Records the pick in the attached cost
-    store.  Thread-safe. *)
-
-val seeded_decision :
-  t -> Treekit.Tree.t -> Treequery.Engine.prepared -> decision
-(** The decision the optimizer would converge to from the seeded
-    estimates alone — no exploration bookkeeping, no observations.
-    [treequery explain --strategy auto] reports this. *)
-
-val observe :
-  t -> canon:string -> strategy:string -> cost:float -> (string * float) option
-(** Feed back one executed request: [cost] in observed profile-counter
-    ops (its latency goes to the attached store, recorded first).
-    Returns [Some (strategy, mean_cost)]
-    — the current best arm and its observed mean cost — once the entry
-    has converged, so the caller can persist the pick
-    ({!Serve.Plan_cache.set_pick}); [None] while still exploring or for
-    an unknown [canon]. *)
+    the arm to execute.  The first call for a canonical form prepares
+    the sibling arms (once; they are cached with the entry).  Records
+    the pick in the attached cost store.  Thread-safe. *)
 
 val reason_to_string : reason -> string
 
@@ -134,9 +96,8 @@ val explain_decision : decision -> string
 type arm_report = {
   r_strategy : string;
   r_estimate : float;
-  r_trials : int;
+  r_trials : int;  (** observations of the arm in the store *)
   r_score : float;  (** what the argmin ranks by, seconds *)
-  r_mean_cost : float;
   r_explorable : bool;
 }
 
@@ -150,7 +111,9 @@ type entry_report = {
 }
 
 val report : t -> entry_report list
-(** Per-fingerprint state, sorted by fingerprint. *)
+(** Per-fingerprint state, sorted by fingerprint.  Convergence is read
+    from the store, so an entry shows converged as soon as its last
+    needed observation is recorded. *)
 
 type stats = {
   entries : int;
@@ -160,7 +123,8 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Counts; [converged] is read from the store, as in {!report}. *)
 
 val to_json : t -> Obs.Json.t
-(** The [serve --optimizer-out] document: global counters plus the full
-    per-fingerprint arm table. *)
+(** The ["optimizer"] member of [serve --stats-json]: global counters
+    plus the full per-fingerprint arm table. *)

@@ -4,15 +4,11 @@ let c_hit = Obs.Counter.make "plan_cache_hit"
 let c_miss = Obs.Counter.make "plan_cache_miss"
 let c_evict = Obs.Counter.make "plan_cache_evict"
 
-type pick = { pick_strategy : string; pick_cost : float }
-
 (* intrusive doubly-linked recency list; [head] is most recent *)
 type entry = {
   key : string;
   prepared : Engine.prepared;
   mutable stamp : float;  (* insertion time, for TTL *)
-  mutable hits : int;  (* lookups served by this entry *)
-  mutable pick : pick option;  (* converged optimizer decision, if any *)
   mutable prev : entry option;
   mutable next : entry option;
 }
@@ -103,10 +99,7 @@ let insert t key prepared =
     while Hashtbl.length t.table >= t.capacity do
       evict_lru t
     done;
-    let e =
-      { key; prepared; stamp = t.clock (); hits = 0; pick = None;
-        prev = None; next = None }
-    in
+    let e = { key; prepared; stamp = t.clock (); prev = None; next = None } in
     Hashtbl.replace t.table key e;
     push_front t e
   end
@@ -117,7 +110,6 @@ let find t query =
   match Hashtbl.find_opt t.table key with
   | Some e when not (expired t e) ->
     t.hits <- t.hits + 1;
-    e.hits <- e.hits + 1;
     Obs.Counter.incr c_hit;
     touch t e;
     (`Hit, e.prepared)
@@ -135,50 +127,6 @@ let find t query =
 
 let size t = locked t @@ fun () -> Hashtbl.length t.table
 
-(* Optimizer-state persistence.  The pick rides the entry: eviction and
-   TTL expiry drop it with the entry, so a re-planned shape re-explores
-   — exactly the forget-on-churn semantics the optimizer wants.  Both
-   accessors tolerate a missing (evicted) entry: a decide/observe pair
-   may straddle an eviction. *)
-let pick t ~canon =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.table canon with
-  | Some e when not (expired t e) -> e.pick
-  | _ -> None
-
-let set_pick t ~canon ~strategy ~cost =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.table canon with
-  | Some e when not (expired t e) ->
-    e.pick <- Some { pick_strategy = strategy; pick_cost = cost }
-  | _ -> ()
-
-type entry_stats = {
-  fingerprint : string;
-  canon : string;
-  entry_hits : int;
-  entry_pick : pick option;
-}
-
-(* walk the recency list head→tail so the result is MRU-first — the
-   fingerprint stats hook the telemetry layer reads *)
-let entries t =
-  locked t @@ fun () ->
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some e ->
-      go
-        ({
-           fingerprint = e.prepared.Engine.fp;
-           canon = e.key;
-           entry_hits = e.hits;
-           entry_pick = e.pick;
-         }
-         :: acc)
-        e.next
-  in
-  go [] t.head
-
 let stats t =
   locked t @@ fun () ->
   {
@@ -189,9 +137,3 @@ let stats t =
     size = Hashtbl.length t.table;
     capacity = t.capacity;
   }
-
-let clear t =
-  locked t @@ fun () ->
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None

@@ -46,41 +46,4 @@ val find : t -> Treequery.Engine.query -> [ `Hit | `Miss ] * Treequery.Engine.pr
 
 val stats : t -> stats
 
-(** {1 Optimizer-state persistence}
-
-    A converged adaptive-optimizer decision rides the cache entry it
-    belongs to, so a warm fleet skips exploration: the serving layer
-    stores the picked strategy (and the observed cost it converged at)
-    after the optimizer settles, and reads it back on later lookups.
-    The pick shares the entry's lifetime — LRU eviction and TTL expiry
-    drop it, so a re-planned shape re-explores. *)
-
-type pick = {
-  pick_strategy : string;  (** {!Treequery.Engine.strategy_name} of the winner *)
-  pick_cost : float;  (** observed mean cost (counter ops) at convergence *)
-}
-
-val pick : t -> canon:string -> pick option
-(** The stored pick for a canonical form, if the entry is live (present
-    and not TTL-expired). *)
-
-val set_pick : t -> canon:string -> strategy:string -> cost:float -> unit
-(** Persist a converged decision on the live entry for [canon]; a no-op
-    when the entry was evicted or expired in the meantime. *)
-
-type entry_stats = {
-  fingerprint : string;  (** display name ({!Treequery.Engine.fingerprint}) *)
-  canon : string;  (** the full canonical key *)
-  entry_hits : int;  (** lookups served by this entry since insertion *)
-  entry_pick : pick option;  (** persisted optimizer decision, if converged *)
-}
-
-val entries : t -> entry_stats list
-(** Per-entry fingerprint stats, most-recently-used first — the hook the
-    telemetry layer (and [--stats-json]) reads to report which cached
-    plans a serving run actually reused. *)
-
 val size : t -> int
-
-val clear : t -> unit
-(** Drop all entries; keeps the counters. *)

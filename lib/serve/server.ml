@@ -13,9 +13,8 @@ type config = {
   recorder : Telemetry.Flight_recorder.t option;
   (* [optimizer]: adaptive strategy selection — each planned request is
      re-routed through [Optimizer.decide] (seeded estimates, then online
-     argmin by observed latency), admission prices the *picked* arm's
-     bound, and converged picks persist in the plan cache so a warm
-     fleet skips exploration *)
+     argmin by observed latency), and admission prices the *picked*
+     arm's bound; it learns from what [telemetry] records *)
   optimizer : Optimizer.t option;
   (* [force_strategy]: route every request whose query the strategy can
      evaluate through it (re-prepared once per canonical shape); shapes
@@ -48,6 +47,13 @@ let config ?cache ?(concurrency = 1) ?(share = false)
   (match tick_every with
   | Some e when e <= 0.0 -> invalid_arg "Server.config: tick_every must be > 0"
   | _ -> ());
+  (* routing learns only from the store the server records into: with
+     any other store an exploring entry would never see an observation *)
+  (match (Option.bind optimizer Optimizer.store, telemetry) with
+  | Some s, Some t when s == t -> ()
+  | Some _, _ ->
+    invalid_arg "Server.config: the optimizer's store must be the telemetry store"
+  | None, _ -> ());
   {
     cache; concurrency; share; stream_prefilter; deadline; clock; telemetry;
     recorder; optimizer; force_strategy; inject_overbudget; tick_every;
@@ -197,21 +203,6 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
       incr residual_violations;
       Obs.Counter.incr c_residual
     end;
-    (* close the optimizer's loop after the cost store has absorbed the
-       observation, so the EWMA the next decision reads is fresh; a
-       convergence result is persisted on the plan-cache entry *)
-    (match cfg.optimizer with
-    | None -> ()
-    | Some opt -> (
-      match
-        Optimizer.observe opt ~canon:p.Engine.canon ~strategy:(strategy_of p)
-          ~cost:observed
-      with
-      | Some (strategy, cost) -> (
-        match cfg.cache with
-        | Some c -> Plan_cache.set_pick c ~canon:p.Engine.canon ~strategy ~cost
-        | None -> ())
-      | None -> ()));
     match cfg.recorder with
     | None -> ()
     | Some rec_ ->
@@ -304,22 +295,15 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
                 | Some c -> snd (Plan_cache.find c shapes.(r.shape).Workload.query)
                 | None -> Engine.prepare shapes.(r.shape).Workload.query
               in
-              (* adaptive routing: re-pick the strategy (honouring a
-                 pick persisted on the cache entry), so admission prices
-                 — and execution runs — the arm the optimizer chose *)
+              (* adaptive routing: re-pick the strategy, so admission
+                 prices — and execution runs — the arm the optimizer
+                 chose *)
               let prepared =
                 match (cfg.force_strategy, cfg.optimizer) with
                 | Some s, _ -> apply_force s prepared
                 | None, None -> prepared
                 | None, Some opt ->
-                  let pinned =
-                    Option.bind cfg.cache (fun c ->
-                        Option.map
-                          (fun pk -> pk.Plan_cache.pick_strategy)
-                          (Plan_cache.pick c ~canon:prepared.Engine.canon))
-                  in
-                  (Optimizer.decide opt ?pinned tree prepared)
-                    .Optimizer.d_prepared
+                  (Optimizer.decide opt tree prepared).Optimizer.d_prepared
               in
               let bound = naive_bound prepared tree in
               let over_bound =

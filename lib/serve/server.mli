@@ -43,15 +43,12 @@ type config = {
           also {!Telemetry.Flight_recorder.trigger} it *)
   optimizer : Optimizer.t option;
       (** adaptive strategy selection: every planned request is
-          re-routed through {!Optimizer.decide} — a pick persisted on
-          the plan-cache entry is honoured (exploration skipped), and
-          admission control prices the {e picked} arm's bound, not the
-          planner default's.  Each served request's observed cost feeds
-          {!Optimizer.observe} after [telemetry] recorded its latency,
-          so the EWMAs decisions read are fresh; on convergence the
-          winning strategy and its observed mean cost are stored with
-          {!Plan_cache.set_pick}.  Give the optimizer the same store as
-          [telemetry], or it ranks by seeded estimate. *)
+          re-routed through {!Optimizer.decide}, and admission control
+          prices the {e picked} arm's bound, not the planner default's.
+          The optimizer learns only from the observations [telemetry]
+          records, so an optimizer with a store must be given that
+          store as [telemetry]; a store-less one routes by its seeded
+          estimates. *)
   force_strategy : Treequery.Engine.strategy option;
       (** pin every request to one strategy (re-prepared once per
           canonical shape; shapes the strategy cannot evaluate keep the
@@ -113,7 +110,10 @@ val config :
 (** Defaults: no cache, [concurrency = 1], [share = false],
     [stream_prefilter = false], no deadline, [clock = Obs.now], no
     telemetry, no recorder, no optimizer, [inject_overbudget = false], no
-    ticks, no pool, [wall_clock = false], [sleep] a no-op. *)
+    ticks, no pool, [wall_clock = false], [sleep] a no-op.
+
+    Raises [Invalid_argument] when [concurrency < 1], [tick_every <= 0],
+    or the optimizer has a store that is not [telemetry]. *)
 
 val reject_reason : string
 (** ["degraded: naive bound exceeded"] — the message attached to

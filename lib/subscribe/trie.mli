@@ -69,4 +69,5 @@ val doc_peak_depth : pass -> int
 val doc_active_work : pass -> int
 (** Σ over events of the number of exactly-matched states — the cost
     witness for the "document + matched set, not registrations" claim
-    (benchmarked in [bench/exp_subscribe.ml]). *)
+    (gated as the [subscribe-index-vs-twin] counted claim in
+    [bench/claims.ml]). *)

@@ -123,17 +123,17 @@ let is_empty t = Hashtbl.length t.cells = 0
 
 (* the adaptive optimizer's telemetry hooks: pick counters per cell
    (surfaced in summaries, JSON and the OpenMetrics exposition) and an
-   O(1) read of a cell's latency EWMA so decisions track the same online
-   estimate the sketches feed *)
+   O(1) read of what routing learns from — a cell's observation count
+   and latency EWMA, the same online estimate the sketches feed *)
 let record_pick t ~fingerprint ~strategy =
   let c = cell t ~fingerprint ~strategy in
   c.exposed <- None;
   c.picks <- c.picks + 1
 
-let ewma_latency t ~fingerprint ~strategy =
+let observations t ~fingerprint ~strategy =
   match Hashtbl.find_opt t.cells (fingerprint, strategy) with
-  | Some c when c.served > 0 -> Some (Sketch.Ewma.mean c.ewma)
-  | _ -> None
+  | Some c when c.served > 0 -> (c.served, Sketch.Ewma.mean c.ewma)
+  | _ -> (0, 0.0)
 
 let summary_of_cell (c : cell) : summary =
   let q = Sketch.Quantile.quantile c.latency in

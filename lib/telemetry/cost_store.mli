@@ -12,10 +12,10 @@
     counters the bounds are claimed against — so with observability
     disabled the gate never fires (observed = 0).
 
-    The adaptive optimizer reads {!ewma_latency} (and {!summaries}) to
-    refine the static {!Obs.Bound} priors with live per-shape
-    statistics, and reports every routing decision through
-    {!record_pick}, so the exposition shows which strategy each
+    The adaptive optimizer reads {!observations} to refine its seeded
+    estimates with live per-shape statistics — the store is the only
+    record routing learns from — and reports every routing decision
+    through {!record_pick}, so the exposition shows which strategy each
     fingerprint converged on. *)
 
 type t
@@ -78,11 +78,12 @@ val record_pick : t -> fingerprint:string -> strategy:string -> unit
     if needed).  Surfaced as [picks] in summaries/JSON and as a sample
     of the [serve_fp_picks] counter family in {!openmetrics}. *)
 
-val ewma_latency : t -> fingerprint:string -> strategy:string -> float option
-(** The cell's time-decayed latency mean, in O(1) — [None] until the
-    cell has served at least one observation.  The adaptive optimizer
-    scores its arms with this, so routing tracks the same online
-    estimate the sketches export. *)
+val observations : t -> fingerprint:string -> strategy:string -> int * float
+(** The cell's observation count and time-decayed latency mean, in
+    O(1) — [(0, 0.)] until the cell has served an observation.  This is
+    all the adaptive optimizer learns from: it explores the arms with
+    the fewest observations and then ranks them by the mean, so routing
+    tracks the same online estimate the sketches export. *)
 
 val summaries : t -> summary list
 (** All keys, in (fingerprint, strategy) order.  The store keeps its

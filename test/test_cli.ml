@@ -43,8 +43,8 @@ let contains hay needle =
 
 let serve_args rest = [ "serve"; "--random"; "50"; "--requests"; "5" ] @ rest
 
-let check_rejects name args ~expect_msg =
-  let code, out = run_cli (serve_args args) in
+let check_rejects ?(cmd = serve_args) name args ~expect_msg =
+  let code, out = run_cli (cmd args) in
   Alcotest.(check int) (name ^ ": exit code") 124 code;
   Alcotest.(check bool)
     (Printf.sprintf "%s: message mentions the constraint (got %S)" name out)
@@ -77,14 +77,6 @@ let test_strategy_unknown_rejected () =
   Alcotest.(check bool)
     (Printf.sprintf "unknown strategy named in error (got %S)" out)
     true (contains out "bogus")
-
-let test_optimizer_out_requires_auto () =
-  let code, out = run_cli (serve_args [ "--optimizer-out"; "/dev/null" ]) in
-  Alcotest.(check int) "--optimizer-out without auto: exit code" 124 code;
-  Alcotest.(check bool)
-    (Printf.sprintf "error names the missing flag (got %S)" out)
-    true
-    (contains out "--strategy auto")
 
 let test_strategy_auto_serves () =
   let code, out = run_cli (serve_args [ "--strategy"; "auto" ]) in
@@ -120,6 +112,20 @@ let test_attest_writes_only_with_out () =
   Alcotest.(check bool) "injected attest exits nonzero" true (code <> 0);
   Alcotest.(check bool) "no report without --out" false written
 
+(* out-of-range serve flags, and flags that need a companion flag to do
+   anything, fail up front naming the constraint — not as an exception
+   from the workload generator, nor as a run with a degenerate setting *)
+let bad_serve_flags =
+  [
+    ([ "--shapes"; "0" ], "--shapes must be >= 1");
+    ([ "--requests=-3" ], "--requests must be >= 0");
+    ([ "--cache-size=-1" ], "--cache-size must be >= 0");
+    ([ "--ttl=-1" ], "--ttl must be > 0");
+    ([ "--deadline-ms=-5" ], "--deadline-ms must be > 0");
+    ([ "--stream-prefilter" ], "--stream-prefilter requires --batch");
+    ([ "--dump-flight" ], "--dump-flight requires --flight-out");
+  ]
+
 let suite =
   [
     Alcotest.test_case "serve --domains 0 fails cleanly" `Quick
@@ -132,8 +138,6 @@ let suite =
       test_domains_one_accepted;
     Alcotest.test_case "serve --strategy rejects unknown names" `Quick
       test_strategy_unknown_rejected;
-    Alcotest.test_case "--optimizer-out requires --strategy auto" `Quick
-      test_optimizer_out_requires_auto;
     Alcotest.test_case "serve --strategy auto end-to-end" `Quick
       test_strategy_auto_serves;
     Alcotest.test_case "filter marks matching patterns" `Quick
@@ -141,3 +145,12 @@ let suite =
     Alcotest.test_case "attest writes no report without --out" `Slow
       test_attest_writes_only_with_out;
   ]
+  @ List.map
+      (fun (args, expect_msg) ->
+        let name = String.concat " " args in
+        Alcotest.test_case ("serve " ^ name ^ " fails cleanly") `Quick (fun () ->
+            (* without serve_args' --requests, which --requests would repeat *)
+            check_rejects
+              ~cmd:(fun rest -> [ "serve"; "--random"; "50" ] @ rest)
+              name args ~expect_msg))
+      bad_serve_flags

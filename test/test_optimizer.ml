@@ -3,18 +3,18 @@
    - seeded estimates: the quadratic FO² arm prices itself out of the
      plausible set on non-trivial documents, label selectivity narrows
      label-driven arms;
-   - convergence: with deterministic injected per-strategy latencies the
-     optimizer converges to the argmin within the exploration budget and
-     never regresses after convergence — and the whole routing sequence
-     is seed-replayable;
-   - pinned picks (the plan cache's persisted state) skip exploration;
+   - convergence: with deterministic injected per-strategy latencies
+     recorded in the cost store, the optimizer explores each plausible
+     arm exactly twice, converges to the argmin and never regresses —
+     and the whole routing sequence is replayable;
+   - an entry with nothing to learn never explores: a store-less
+     optimizer routes by the seeded argmin, and so does an entry with a
+     single plausible arm;
    - the [invert] fault forces the worst arm (the attest bad-pick gate);
-   - plan-cache pick persistence: picks ride entries, LRU eviction and
-     TTL expiry drop them (re-explore on churn), per-entry hit counts
-     accumulate alongside;
-   - end-to-end: a serve run with --strategy auto semantics converges
-     and persists picks; a warm fleet sharing the cache explores zero
-     times; a pinned fixed strategy yields the same answers. *)
+   - end-to-end: a serve run with --strategy auto semantics converges,
+     and the converged entries route a second run without exploring; a
+     pinned fixed strategy yields the same answers; the server refuses
+     an optimizer whose store it does not record into. *)
 
 open Helpers
 module Engine = Treequery.Engine
@@ -50,7 +50,7 @@ let test_estimates_price_out_fo2 () =
     by_strategy;
   (* and the decision engine marks it implausible: one decide, then the
      report shows the fo2 arm as not explorable *)
-  let opt = Optimizer.create ~epsilon:0.0 ~seed:0 () in
+  let opt = Optimizer.create () in
   ignore (Optimizer.decide opt tree (Engine.prepare q));
   let r = List.hd (Optimizer.report opt) in
   let fo2_arm =
@@ -74,171 +74,87 @@ let test_selectivity_narrows () =
 (* convergence *)
 
 (* deterministic injected latencies: hornsat fastest, so the argmin is
-   known; cost mirrors latency so persisted picks are deterministic too *)
+   known *)
 let injected_latency = function
   | "datalog-hornsat" -> 0.001
   | "yannakakis" -> 0.003
   | "xpath-bottom-up" -> 0.005
   | _ -> 0.050
 
-(* the optimizer learns latencies from its cost store: record the
-   injected latency there first, as the serving layer does, then close
-   the loop with the cost *)
-let feed store opt (default : Engine.prepared) name =
+(* the optimizer learns only from its cost store: record the injected
+   latency there, as the serving layer does *)
+let feed store (default : Engine.prepared) name =
   let l = injected_latency name in
   ignore
     (Telemetry.Cost_store.observe store ~fingerprint:default.Engine.fp
-       ~strategy:name ~predicted:0.0 ~observed:(l *. 5e7) ~latency:l ~counters:[]);
-  Optimizer.observe opt ~canon:default.Engine.canon ~strategy:name ~cost:(l *. 5e7)
+       ~strategy:name ~predicted:0.0 ~observed:(l *. 5e7) ~latency:l ~counters:[])
 
 let frozen_store () = Telemetry.Cost_store.create ~clock:(fun () -> 0.0) ()
 
-let drive ?(rounds = 40) ~seed () =
+(* the routing sequence as (strategy, reason) pairs, and the decision
+   after whose observation the entry first showed converged *)
+let drive ?(rounds = 40) () =
   let tree = random_tree ~seed:11 ~n:300 () in
   let default = prepare_xpath multi_arm in
   let store = frozen_store () in
-  let opt = Optimizer.create ~epsilon:0.0 ~min_trials:2 ~seed ~store () in
+  let opt = Optimizer.create ~store () in
   let picks = ref [] and converged_at = ref None in
   for i = 1 to rounds do
     let d = Optimizer.decide opt tree default in
     let name = Engine.strategy_name d.Optimizer.d_strategy in
-    picks := name :: !picks;
-    match feed store opt default name with
-    | Some _ when !converged_at = None -> converged_at := Some i
-    | _ -> ()
+    picks := (name, d.Optimizer.d_reason) :: !picks;
+    feed store default name;
+    if !converged_at = None && (Optimizer.stats opt).Optimizer.converged = 1
+    then converged_at := Some i
   done;
   (List.rev !picks, !converged_at)
 
 let test_converges_to_argmin_and_never_regresses () =
-  let picks, converged_at = drive ~seed:1 () in
+  let picks, converged_at = drive () in
   let k =
     match converged_at with
     | Some k -> k
     | None -> Alcotest.fail "never converged"
   in
-  (* the exploration budget: |plausible arms| * min_trials; FO² is
-     implausible, leaving three arms at two trials each *)
-  Alcotest.(check bool) "converged within budget" true (k <= 6);
+  (* FO² is implausible, leaving three arms, each explored exactly
+     twice; the entry converges with the sixth observation *)
+  let exploring =
+    List.filter_map
+      (fun (name, reason) ->
+        if reason = Optimizer.Exploring then Some name else None)
+      picks
+  in
+  Alcotest.(check (list string)) "two exploring decisions per plausible arm"
+    [ "datalog-hornsat"; "datalog-hornsat"; "xpath-bottom-up";
+      "xpath-bottom-up"; "yannakakis"; "yannakakis" ]
+    (List.sort compare exploring);
+  Alcotest.(check int) "converged with the last needed observation" 6 k;
   let after = List.filteri (fun i _ -> i >= k) picks in
   Alcotest.(check bool) "decisions exist after convergence" true (after <> []);
   List.iter
-    (fun name ->
+    (fun (name, reason) ->
       Alcotest.(check string) "argmin after convergence, never regresses"
-        "datalog-hornsat" name)
+        "datalog-hornsat" name;
+      Alcotest.(check bool) "reason is converged" true
+        (reason = Optimizer.Converged))
     after
 
 let test_routing_is_seed_replayable () =
-  let a, ka = drive ~seed:9 () in
-  let b, kb = drive ~seed:9 () in
-  Alcotest.(check bool) "same seed, same routing sequence" true (a = b);
-  Alcotest.(check bool) "same convergence point" true (ka = kb);
-  (* epsilon-greedy draws are part of the replayable state too *)
-  let noisy seed =
-    let tree = random_tree ~seed:11 ~n:300 () in
-    let default = prepare_xpath multi_arm in
-    let store = frozen_store () in
-    let opt = Optimizer.create ~epsilon:0.5 ~min_trials:2 ~seed ~store () in
-    List.init 12 (fun _ ->
-        let d = Optimizer.decide opt tree default in
-        let name = Engine.strategy_name d.Optimizer.d_strategy in
-        ignore (feed store opt default name);
-        name)
-  in
-  Alcotest.(check bool) "epsilon draws replay under the seed" true
-    (noisy 4 = noisy 4)
-
-let test_pinned_pick_skips_exploration () =
-  let tree = random_tree ~seed:11 ~n:300 () in
-  let default = prepare_xpath multi_arm in
-  let opt = Optimizer.create ~epsilon:0.0 ~seed:0 () in
-  let d = Optimizer.decide opt ~pinned:"datalog-hornsat" tree default in
-  Alcotest.(check string) "pinned arm picked" "datalog-hornsat"
-    (Engine.strategy_name d.Optimizer.d_strategy);
-  Alcotest.(check bool) "reason is the cached pick" true
-    (d.Optimizer.d_reason = Optimizer.Cached_pick);
-  let s = Optimizer.stats opt in
-  Alcotest.(check int) "no exploration" 0 s.Optimizer.explorations;
-  Alcotest.(check int) "entry converged immediately" 1 s.Optimizer.converged
+  let a, ka = drive () in
+  let b, kb = drive () in
+  Alcotest.(check bool) "same inputs, same routing sequence" true (a = b);
+  Alcotest.(check bool) "same convergence point" true (ka = kb)
 
 let test_invert_forces_worst_arm () =
   let tree = random_tree ~seed:11 ~n:300 () in
   let default = prepare_xpath multi_arm in
-  let opt = Optimizer.create ~epsilon:0.0 ~invert:true ~seed:0 () in
+  let opt = Optimizer.create ~invert:true () in
   let d = Optimizer.decide opt tree default in
   Alcotest.(check string) "worst arm is the quadratic FO2 embedding"
     "xpath-fo2"
     (Engine.strategy_name d.Optimizer.d_strategy);
   Alcotest.(check bool) "reason says injected" true
     (d.Optimizer.d_reason = Optimizer.Injected_worst)
-
-let test_create_validates () =
-  let bad f = Alcotest.check_raises "invalid_arg" (Invalid_argument f) in
-  bad "Optimizer.create: epsilon must be in [0, 1]" (fun () ->
-      ignore (Optimizer.create ~epsilon:1.5 ()));
-  bad "Optimizer.create: min_trials must be >= 1" (fun () ->
-      ignore (Optimizer.create ~min_trials:0 ()))
-
-(* ------------------------------------------------------------------ *)
-(* plan-cache pick persistence *)
-
-let test_cache_pick_rides_entry () =
-  let cache = Serve.Plan_cache.create ~capacity:8 () in
-  let q = Engine.parse_xpath multi_arm in
-  let _, p = Serve.Plan_cache.find cache q in
-  let canon = p.Engine.canon in
-  Alcotest.(check bool) "no pick on a fresh entry" true
-    (Serve.Plan_cache.pick cache ~canon = None);
-  Serve.Plan_cache.set_pick cache ~canon ~strategy:"yannakakis" ~cost:42.0;
-  (match Serve.Plan_cache.pick cache ~canon with
-  | Some pk ->
-    Alcotest.(check string) "strategy" "yannakakis" pk.Serve.Plan_cache.pick_strategy;
-    Alcotest.(check (float 1e-9)) "cost" 42.0 pk.Serve.Plan_cache.pick_cost
-  | None -> Alcotest.fail "pick not stored");
-  (* hits accumulate on the same entry without disturbing the pick *)
-  ignore (Serve.Plan_cache.find cache q);
-  ignore (Serve.Plan_cache.find cache q);
-  let e = List.hd (Serve.Plan_cache.entries cache) in
-  Alcotest.(check int) "per-entry hits counted" 2 e.Serve.Plan_cache.entry_hits;
-  Alcotest.(check bool) "pick survives hits" true
-    (e.Serve.Plan_cache.entry_pick <> None)
-
-let test_cache_eviction_drops_pick () =
-  let cache = Serve.Plan_cache.create ~capacity:2 () in
-  let q1 = Engine.parse_xpath "//a" in
-  let _, p1 = Serve.Plan_cache.find cache q1 in
-  Serve.Plan_cache.set_pick cache ~canon:p1.Engine.canon
-    ~strategy:"datalog-hornsat" ~cost:1.0;
-  (* fill past capacity: q1 is the LRU victim *)
-  ignore (Serve.Plan_cache.find cache (Engine.parse_xpath "//b"));
-  ignore (Serve.Plan_cache.find cache (Engine.parse_xpath "//c"));
-  Alcotest.(check bool) "evicted entry has no pick" true
-    (Serve.Plan_cache.pick cache ~canon:p1.Engine.canon = None);
-  (* a re-planned shape starts cold: fresh entry, no pick — the
-     serving layer re-explores *)
-  let outcome, p1' = Serve.Plan_cache.find cache q1 in
-  Alcotest.(check bool) "re-lookup is a miss" true (outcome = `Miss);
-  Alcotest.(check bool) "fresh entry, no stored pick" true
-    (Serve.Plan_cache.pick cache ~canon:p1'.Engine.canon = None)
-
-let test_cache_ttl_resets_pick () =
-  let now = ref 0.0 in
-  let cache =
-    Serve.Plan_cache.create ~capacity:8 ~ttl:10.0 ~clock:(fun () -> !now) ()
-  in
-  let q = Engine.parse_xpath multi_arm in
-  let _, p = Serve.Plan_cache.find cache q in
-  let canon = p.Engine.canon in
-  Serve.Plan_cache.set_pick cache ~canon ~strategy:"yannakakis" ~cost:7.0;
-  now := 5.0;
-  Alcotest.(check bool) "pick live within ttl" true
-    (Serve.Plan_cache.pick cache ~canon <> None);
-  now := 11.0;
-  Alcotest.(check bool) "ttl expiry resets the pick" true
-    (Serve.Plan_cache.pick cache ~canon = None);
-  (* set_pick on an expired entry is a no-op, not a resurrection *)
-  Serve.Plan_cache.set_pick cache ~canon ~strategy:"yannakakis" ~cost:7.0;
-  Alcotest.(check bool) "no write-through on expired entries" true
-    (Serve.Plan_cache.pick cache ~canon = None)
 
 (* ------------------------------------------------------------------ *)
 (* end-to-end through the server *)
@@ -257,22 +173,13 @@ let test_server_auto_converges_and_persists () =
   let shapes, reqs = serve_workload ~seed:7 ~count:120 in
   let cache = Serve.Plan_cache.create () in
   let store = Telemetry.Cost_store.create () in
-  let opt = Optimizer.create ~epsilon:0.0 ~seed:0 ~store () in
+  let opt = Optimizer.create ~store () in
   let cfg = Serve.Server.config ~cache ~telemetry:store ~optimizer:opt () in
   let stats = Serve.Server.run cfg tree shapes reqs in
   Alcotest.(check int) "all served" 120 stats.Serve.Server.served;
   let os = Optimizer.stats opt in
   Alcotest.(check bool) "every shape converged" true
     (os.Optimizer.entries > 0 && os.Optimizer.converged = os.Optimizer.entries);
-  let with_picks =
-    List.filter
-      (fun (e : Serve.Plan_cache.entry_stats) ->
-        e.Serve.Plan_cache.entry_pick <> None)
-      (Serve.Plan_cache.entries cache)
-  in
-  Alcotest.(check int) "every cache entry carries the converged pick"
-    (List.length (Serve.Plan_cache.entries cache))
-    (List.length with_picks);
   (* the cost store counted the routing decisions *)
   let picks_total =
     List.fold_left
@@ -281,18 +188,13 @@ let test_server_auto_converges_and_persists () =
       (Telemetry.Cost_store.summaries store)
   in
   Alcotest.(check int) "one pick counter bump per request" 120 picks_total;
-  (* warm fleet: a fresh optimizer sharing the cache trusts the stored
-     picks and never explores *)
-  let store2 = Telemetry.Cost_store.create () in
-  let opt2 = Optimizer.create ~epsilon:0.0 ~seed:0 ~store:store2 () in
-  let cfg2 =
-    Serve.Server.config ~cache ~telemetry:store2 ~optimizer:opt2 ()
-  in
+  (* the converged picks persist in the optimizer's entries: a second
+     run routes every request without exploring *)
   let _, reqs2 = serve_workload ~seed:7 ~count:60 in
-  let stats2 = Serve.Server.run cfg2 tree shapes reqs2 in
-  Alcotest.(check int) "warm run serves" 60 stats2.Serve.Server.served;
-  Alcotest.(check int) "warm fleet skips exploration entirely" 0
-    (Optimizer.stats opt2).Optimizer.explorations
+  let stats2 = Serve.Server.run cfg tree shapes reqs2 in
+  Alcotest.(check int) "second run serves" 60 stats2.Serve.Server.served;
+  Alcotest.(check int) "second run explores nothing" os.Optimizer.explorations
+    (Optimizer.stats opt).Optimizer.explorations
 
 let test_server_forced_strategy_matches_default () =
   let tree = random_tree ~seed:13 ~n:300 () in
@@ -307,6 +209,71 @@ let test_server_forced_strategy_matches_default () =
   in
   Alcotest.(check (pair int int)) "pinned strategy, same answers" base forced
 
+(* ------------------------------------------------------------------ *)
+(* nothing to learn *)
+
+let test_storeless_routes_by_seeded_argmin () =
+  let tree = random_tree ~seed:11 ~n:300 () in
+  let default = prepare_xpath multi_arm in
+  let opt = Optimizer.create () in
+  for _ = 1 to 5 do
+    let d = Optimizer.decide opt tree default in
+    Alcotest.(check (float 0.0)) "the least estimate"
+      (List.fold_left (fun acc (_, e) -> Float.min acc e) infinity
+         d.Optimizer.d_candidates)
+      d.Optimizer.d_estimate;
+    Alcotest.(check bool) "reason is seeded" true
+      (d.Optimizer.d_reason = Optimizer.Seeded)
+  done;
+  let s = Optimizer.stats opt in
+  Alcotest.(check int) "converged at creation" 1 s.Optimizer.converged;
+  Alcotest.(check int) "never explores" 0 s.Optimizer.explorations
+
+(* the rewrite arm of a five-atom CQ is priced 2^|Q| over Yannakakis,
+   far outside the plausible span *)
+let test_single_plausible_arm_never_explores () =
+  let tree = random_tree ~seed:11 ~n:300 () in
+  let default =
+    Engine.prepare
+      (Engine.parse_cq
+         {|q(X) :- lab(X, "a"), following(X, Y), lab(Y, "b"), child(Y, Z), lab(Z, "c").|})
+  in
+  let store = frozen_store () in
+  let opt = Optimizer.create ~store () in
+  for _ = 1 to 4 do
+    let d = Optimizer.decide opt tree default in
+    Alcotest.(check bool) "not exploring" true
+      (d.Optimizer.d_reason <> Optimizer.Exploring);
+    ignore
+      (Telemetry.Cost_store.observe store ~fingerprint:default.Engine.fp
+         ~strategy:(Engine.strategy_name d.Optimizer.d_strategy) ~predicted:0.0
+         ~observed:1.0 ~latency:0.001 ~counters:[])
+  done;
+  let r = List.hd (Optimizer.report opt) in
+  Alcotest.(check bool) "several arms" true (List.length r.Optimizer.r_arms > 1);
+  Alcotest.(check int) "one plausible arm" 1
+    (List.length
+       (List.filter (fun (a : Optimizer.arm_report) -> a.Optimizer.r_explorable)
+          r.Optimizer.r_arms));
+  Alcotest.(check int) "no exploring decision" 0
+    (Optimizer.stats opt).Optimizer.explorations
+
+let test_server_rejects_foreign_store () =
+  let store = Telemetry.Cost_store.create () in
+  let optimizer = Optimizer.create ~store () in
+  let rejects name f =
+    Alcotest.check_raises name
+      (Invalid_argument
+         "Server.config: the optimizer's store must be the telemetry store")
+      (fun () -> ignore (f ()))
+  in
+  rejects "no telemetry" (fun () -> Serve.Server.config ~optimizer ());
+  rejects "another store" (fun () ->
+      Serve.Server.config ~telemetry:(Telemetry.Cost_store.create ()) ~optimizer
+        ());
+  ignore (Serve.Server.config ~telemetry:store ~optimizer ());
+  ignore (Serve.Server.config ~optimizer:(Optimizer.create ()) ())
+
 let suite =
   [
     Alcotest.test_case "estimates price out the FO2 arm" `Quick
@@ -317,19 +284,16 @@ let suite =
       test_converges_to_argmin_and_never_regresses;
     Alcotest.test_case "routing is seed-replayable" `Quick
       test_routing_is_seed_replayable;
-    Alcotest.test_case "pinned pick skips exploration" `Quick
-      test_pinned_pick_skips_exploration;
     Alcotest.test_case "invert forces the worst arm" `Quick
       test_invert_forces_worst_arm;
-    Alcotest.test_case "create validates parameters" `Quick test_create_validates;
-    Alcotest.test_case "plan-cache pick rides the entry" `Quick
-      test_cache_pick_rides_entry;
-    Alcotest.test_case "eviction drops the pick (re-explore)" `Quick
-      test_cache_eviction_drops_pick;
-    Alcotest.test_case "ttl expiry resets the pick" `Quick
-      test_cache_ttl_resets_pick;
     Alcotest.test_case "server auto converges and persists picks" `Quick
       test_server_auto_converges_and_persists;
     Alcotest.test_case "forced strategy serves identical answers" `Quick
       test_server_forced_strategy_matches_default;
+    Alcotest.test_case "store-less optimizer routes by the seeded argmin"
+      `Quick test_storeless_routes_by_seeded_argmin;
+    Alcotest.test_case "single plausible arm never explores" `Quick
+      test_single_plausible_arm_never_explores;
+    Alcotest.test_case "server rejects an optimizer with a foreign store"
+      `Quick test_server_rejects_foreign_store;
   ]
