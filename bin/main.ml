@@ -313,8 +313,8 @@ let filter_cmd =
 let serve_cmd =
   let run xml_file xml random xmark requests concurrency shapes cache_size ttl
       deadline_ms batch stream_prefilter workload domains wall_clock strategy
-      metrics_out metrics_every telemetry_out residual_threshold
-      flight_out dump_flight inject_overbudget ops_listen common =
+      metrics_out metrics_every residual_threshold flight_out dump_flight
+      inject_overbudget ops_listen common =
     handle_errors @@ fun () ->
     let kind =
       match Serve.Workload.kind_of_string workload with
@@ -322,6 +322,7 @@ let serve_cmd =
       | Error m -> failwith m
     in
     if domains < 1 then failwith "--domains must be >= 1";
+    if concurrency < 1 then failwith "--concurrency must be >= 1";
     if requests < 0 then failwith "--requests must be >= 0";
     if shapes < 1 then failwith "--shapes must be >= 1";
     if cache_size < 0 then failwith "--cache-size must be >= 0";
@@ -329,6 +330,10 @@ let serve_cmd =
     (match deadline_ms with
     | Some d when d <= 0.0 -> failwith "--deadline-ms must be > 0"
     | _ -> ());
+    (match metrics_every with
+    | Some e when e <= 0.0 -> failwith "--metrics-every must be > 0"
+    | _ -> ());
+    if residual_threshold <= 0.0 then failwith "--residual-threshold must be > 0";
     if stream_prefilter && not batch then
       failwith "--stream-prefilter requires --batch";
     if dump_flight && flight_out = None then
@@ -354,7 +359,7 @@ let serve_cmd =
        any telemetry flag, or --stats-json (which then carries the
        per-fingerprint summaries) *)
     let telemetry_on =
-      telemetry_out <> None || flight_out <> None || dump_flight
+      flight_out <> None || dump_flight
       || inject_overbudget || metrics_every <> None || common.stats_json <> None
       || ops_listen <> None
       (* auto-routing reads the cost store's latency EWMAs, so the
@@ -450,17 +455,32 @@ let serve_cmd =
         Obs.Json.write_raw path (Opsplane.Snapshot.to_openmetrics p snap)
       | _ -> ()
     in
+    (* --stats-json carries the cost store, the optimizer's table and a
+       digest of the flight recorder (whose entries go to --flight-out) *)
     let augment j =
-      let j =
-        match (store, j) with
-        | Some s, Obs.Json.Obj kvs when not (Telemetry.Cost_store.is_empty s) ->
-          Obs.Json.Obj (kvs @ [ ("telemetry", Telemetry.Cost_store.to_json s) ])
-        | _ -> j
+      let flight r =
+        let module FR = Telemetry.Flight_recorder in
+        let num n = Obs.Json.Num (float_of_int n) in
+        Obs.Json.Obj
+          ([
+             ("capacity", num (FR.capacity r));
+             ("recorded", num (FR.length r));
+             ("total", num (FR.total r));
+           ]
+          @
+          match FR.triggered r with
+          | None -> []
+          | Some t -> [ ("trigger", Obs.Json.Str t); ("trigger_count", num (FR.trigger_count r)) ])
       in
-      match (optimizer, j) with
-      | Some o, Obs.Json.Obj kvs ->
-        Obs.Json.Obj (kvs @ [ ("optimizer", Optimizer.to_json o) ])
-      | _ -> j
+      let members =
+        (match store with
+        | Some s when not (Telemetry.Cost_store.is_empty s) ->
+          [ ("telemetry", Telemetry.Cost_store.to_json s) ]
+        | _ -> [])
+        @ (match optimizer with Some o -> [ ("optimizer", Optimizer.to_json o) ] | None -> [])
+        @ match recorder with Some r -> [ ("flight", flight r) ] | None -> []
+      in
+      match j with Obs.Json.Obj kvs -> Obs.Json.Obj (kvs @ members) | _ -> j
     in
     (* ops scrapes want fresh snapshots even without --metrics-every:
        default a 1s publication cadence when only --ops-listen is given *)
@@ -576,36 +596,6 @@ let serve_cmd =
       Printf.printf "metrics:     %d periodic snapshots (every %gs virtual)\n"
         !snapshots
         (Option.get metrics_every);
-    (* the cost-store summaries and a flight-recorder digest, for post-hoc
-       reading without re-running *)
-    (match (telemetry_out, store) with
-    | Some path, Some s ->
-      let flight =
-        match recorder with
-        | None -> []
-        | Some r ->
-          [
-            ( "flight",
-              Obs.Json.Obj
-                ([
-                   ("capacity", Obs.Json.Num (float_of_int (Telemetry.Flight_recorder.capacity r)));
-                   ("recorded", Obs.Json.Num (float_of_int (Telemetry.Flight_recorder.length r)));
-                   ("total", Obs.Json.Num (float_of_int (Telemetry.Flight_recorder.total r)));
-                 ]
-                @
-                match Telemetry.Flight_recorder.triggered r with
-                | None -> []
-                | Some t ->
-                  [
-                    ("trigger", Obs.Json.Str t);
-                    ( "trigger_count",
-                      Obs.Json.Num (float_of_int (Telemetry.Flight_recorder.trigger_count r)) );
-                  ]) );
-          ]
-      in
-      Obs.Json.write_file path
-        (Obs.Json.Obj (("cost_store", Telemetry.Cost_store.to_json s) :: flight))
-    | _ -> ());
     (* dump the ring buffer when something went wrong (or on demand) *)
     (match recorder with
     | Some r -> (
@@ -672,9 +662,6 @@ let serve_cmd =
   let metrics_every_arg =
     Arg.(value & opt (some float) None & info [ "metrics-every" ] ~docv:"SECONDS" ~doc:"With --metrics-out: overwrite the exposition every $(docv) seconds of virtual serving time (deterministic under the discrete-event clock), not just once at end of run.")
   in
-  let telemetry_out_arg =
-    Arg.(value & opt (some string) None & info [ "telemetry-out" ] ~docv:"FILE" ~doc:"Write the per-fingerprint cost-store summaries (latency sketch quantiles, observed vs predicted cost, residual violations) and a flight-recorder digest as JSON to $(docv); '-' for stdout.")
-  in
   let residual_threshold_arg =
     Arg.(value & opt float 1.0 & info [ "residual-threshold" ] ~docv:"RATIO" ~doc:"Observed/predicted cost ratio above which a served request counts as a residual violation (and triggers the flight recorder).")
   in
@@ -700,7 +687,7 @@ let serve_cmd =
        $ ttl_arg $ deadline_arg $ batch_arg $ stream_prefilter_arg
        $ workload_arg $ domains_arg $ wall_clock_arg $ strategy_arg
        $ metrics_out_arg $ metrics_every_arg
-       $ telemetry_out_arg $ residual_threshold_arg $ flight_out_arg
+       $ residual_threshold_arg $ flight_out_arg
        $ dump_flight_arg $ inject_overbudget_arg $ ops_listen_arg
        $ common_term))
 

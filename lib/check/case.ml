@@ -29,7 +29,7 @@ type query =
   | Order_law of Treekit.Order.kind
   | Setops of setop list
   | Obs_report of Obs.Report.t
-  | Sketch_sample of float list
+  | Latency_sample of float list
   | Standing of standing_op list
 
 and standing_op =
@@ -89,7 +89,7 @@ let rec query_size = function
     + List.length r.Obs.Report.counters
     + List.length r.Obs.Report.histograms
     + List.length r.Obs.Report.profiles
-  | Sketch_sample xs -> List.length xs
+  | Latency_sample xs -> List.length xs
   | Standing ops ->
     List.fold_left
       (fun acc op ->
@@ -106,8 +106,8 @@ let rec query_to_string = function
   | Order_law k -> "order-law: " ^ Treekit.Order.kind_name k
   | Setops ops -> "setops: " ^ String.concat "; " (List.map setop_to_string ops)
   | Obs_report r -> "obs-report: " ^ Obs.Report.to_json r
-  | Sketch_sample xs ->
-    "sketch-sample: " ^ String.concat " " (List.map (Printf.sprintf "%g") xs)
+  | Latency_sample xs ->
+    "latency-sample: " ^ String.concat " " (List.map (Printf.sprintf "%g") xs)
   | Standing ops -> "standing: " ^ String.concat "; " (List.map standing_op_to_string ops)
 
 and standing_op_to_string = function

@@ -44,10 +44,11 @@ type query =
   | Obs_report of Obs.Report.t
       (** a synthetic observability report; the tree is ignored and the
           oracle checks the JSON round-trip fixpoint *)
-  | Sketch_sample of float list
-      (** a sample for the telemetry quantile sketch; the tree is ignored
-          and the oracle compares sketch quantiles (single and merged in
-          several association orders) with exact sorted-array quantiles *)
+  | Latency_sample of float list
+      (** latencies (seconds) for a cost-store cell's histogram; the tree
+          is ignored and the oracle compares its quantiles (single and
+          merged in both association orders) with exact sorted-array
+          order statistics *)
   | Standing of standing_op list
       (** a standing-query script against one document: registrations
           (nested queries, including composed automata), unregistrations

@@ -189,12 +189,12 @@ let obs_report _cfg rng =
       profiles = List.init (ri 3) profile;
     }
 
-(* adversarial samples for the sketch-quantile oracle: heavy duplicate
+(* adversarial samples for the latency-summary oracle: heavy duplicate
    mass, pre-sorted and reverse-sorted runs, single elements, two-valued
    mixtures and random draws.  Values live on a small quarter-integer
    grid so every arithmetic combination (sums, means) is exact in binary
    floating point and repro lines stay short. *)
-let sketch_sample _cfg rng =
+let latency_sample _cfg rng =
   let ri n = Random.State.int rng n in
   let v () = float_of_int (ri 65) /. 4.0 in
   let n = 1 + ri 24 in
@@ -211,7 +211,7 @@ let sketch_sample _cfg rng =
       List.init n (fun i -> if i mod 2 = 0 then a else b)
     | _ -> List.init n (fun _ -> v ())
   in
-  Case.Sketch_sample xs
+  Case.Latency_sample xs
 
 (* standing-query scripts: a churn of registrations (across all four
    index classes — spines, twigs via qualified XPath, general CQs,

@@ -74,8 +74,8 @@ val obs_report : config -> Random.State.t -> Case.query
     whole microseconds and names exercise every JSON string-escape
     class, so the serialised report must be a round-trip fixpoint. *)
 
-val sketch_sample : config -> Random.State.t -> Case.query
-(** An adversarial sample (1–24 values) for the telemetry quantile
-    sketch: all-equal, sorted, reverse-sorted, single-element,
+val latency_sample : config -> Random.State.t -> Case.query
+(** An adversarial latency sample (1–24 values, 0–16 s) for a cost-store
+    cell's histogram: all-equal, sorted, reverse-sorted, single-element,
     two-valued or random, on a quarter-integer value grid so all
     arithmetic is exact. *)

@@ -827,146 +827,97 @@ let obs_roundtrip =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry quantile sketch                                            *)
+(* Telemetry latency summary                                            *)
 
-(* Under capacity the sketch is exact: [quantile t q] must equal the
-   rank-⌈q·n⌉ order statistic of the sorted sample, for any insertion
-   order and for any association order of 3-way merges.  Over capacity
-   (forced with capacity 2) answers must still be observed values,
-   monotone in q, and within the greedy-compaction rank-error bound
-   (the largest stored tuple weight). *)
-let sketch_quantile =
-  let qs = [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] in
-  let reference sorted q =
+(* A cost-store cell keeps its latencies in an unregistered
+   [Obs.Histogram].  Every quantile must lie within a factor 2^¼ of the
+   exact rank-⌈q·n⌉ order statistic (a bucket spans a factor √2 and
+   reports its log-midpoint, clamped to the max), or be at most 1 µs
+   when that statistic is at most 1 µs (the first bucket holds
+   everything below it), and never exceed the exact max; count and max
+   are exact; and a 3-way split merged under either association order
+   must summarise exactly as the whole sample does.  The quantiles are
+   checked at every rank, so equal answers mean equal bucket
+   populations. *)
+let latency_summary =
+  let module H = Obs.Histogram in
+  let first_bucket = 1e-6 in
+  (* the bucket resolution, with slack for the rounding of [log] at a
+     bucket edge *)
+  let ratio = (2.0 ** 0.25) *. (1.0 +. 1e-9) in
+  let exact sorted q =
     let n = Array.length sorted in
-    let rank =
-      max 1 (min n (int_of_float (ceil (q *. float_of_int n))))
-    in
-    sorted.(rank - 1)
+    sorted.(max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) - 1)
   in
-  let feed capacity xs =
-    let t = Telemetry.Sketch.Quantile.create ~capacity () in
-    List.iter (Telemetry.Sketch.Quantile.add t) xs;
-    t
+  let feed xs =
+    let h = H.create () in
+    List.iter (H.observe h) xs;
+    h
+  in
+  let merged hs =
+    let h = H.create () in
+    List.iter (fun src -> H.merge ~into:h src) hs;
+    h
   in
   {
-    name = "sketch-quantile";
+    name = "latency-summary";
     theorem =
-      "telemetry: under-capacity sketch quantiles = exact order \
-       statistics, for any merge association; over capacity, answers \
-       stay within the greedy rank-error bound";
+      "telemetry: cost-store histogram quantiles lie within 2^1/4 of the \
+       exact order statistics and never above the max; count and max \
+       are exact; 3-way merges equal the whole under both associations";
     cap_nodes = 4;
-    gen = Gen.sketch_sample;
+    gen = Gen.latency_sample;
     run =
       (fun c ->
         match c.Case.query with
-        | Case.Sketch_sample xs -> (
-          let module Q = Telemetry.Sketch.Quantile in
+        | Case.Latency_sample xs -> (
           let n = List.length xs in
           let sorted = Array.of_list (List.sort compare xs) in
-          let check_exact label t =
-            if Q.count t <> n then
-              Some (Printf.sprintf "%s: count %d, expected %d" label (Q.count t) n)
-            else if Q.min_value t <> sorted.(0) then
-              Some (Printf.sprintf "%s: min %g, expected %g" label (Q.min_value t) sorted.(0))
-            else if Q.max_value t <> sorted.(n - 1) then
-              Some (Printf.sprintf "%s: max %g, expected %g" label (Q.max_value t) sorted.(n - 1))
-            else
-              List.find_map
-                (fun q ->
-                  let got = Q.quantile t q in
-                  let want = reference sorted q in
-                  if got = want then None
-                  else
-                    Some
-                      (Printf.sprintf "%s: q=%g gave %g, exact is %g" label q
-                         got want))
-                qs
+          let max_v = sorted.(n - 1) in
+          let qs =
+            [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
+            @ List.init n (fun r -> float_of_int (r + 1) /. float_of_int n)
           in
-          (* capacity 64 ≥ any generated sample: exact *)
-          let whole = feed 64 xs in
-          match check_exact "single sketch" whole with
-          | Some m -> Fail m
-          | None -> (
-            (* 3-way split, merged under both associations *)
-            let third = max 1 (n / 3) in
-            let rec split i = function
-              | [] -> ([], [], [])
-              | x :: rest ->
-                let a, b, d = split (i + 1) rest in
-                if i < third then (x :: a, b, d)
-                else if i < 2 * third then (a, x :: b, d)
-                else (a, b, x :: d)
+          let whole = feed xs in
+          let bounded q =
+            let got = H.percentile whole q and want = exact sorted q in
+            let within =
+              if want <= first_bucket then got <= first_bucket
+              else got <= want *. ratio && got >= want /. ratio
             in
-            let xa, xb, xd = split 0 xs in
-            let sa = feed 64 xa and sb = feed 64 xb and sd = feed 64 xd in
-            let left = Q.merge (Q.merge sa sb) sd in
-            let right = Q.merge sa (Q.merge sb sd) in
-            match check_exact "merge (a+b)+c" left with
+            if within && got <= max_v then None
+            else Some (Printf.sprintf "q=%g gave %g, exact is %g (max %g)" q got want max_v)
+          in
+          let digest h = (H.count h, H.max_value h, H.mean h, List.map (H.percentile h) qs) in
+          let describe h =
+            Printf.sprintf "count %d, max %g, mean %g, quantiles %s" (H.count h)
+              (H.max_value h) (H.mean h)
+              (String.concat " " (List.map (fun q -> Printf.sprintf "%g" (H.percentile h q)) qs))
+          in
+          if H.count whole <> n then
+            Fail (Printf.sprintf "count %d, expected %d" (H.count whole) n)
+          else if H.max_value whole <> max_v then
+            Fail (Printf.sprintf "max %g, expected %g" (H.max_value whole) max_v)
+          else
+            match List.find_map bounded qs with
             | Some m -> Fail m
             | None -> (
-              match check_exact "merge a+(b+c)" right with
-              | Some m -> Fail m
-              | None ->
-                (* forced compaction: capacity 2 *)
-                let tight = feed 2 xs in
-                let max_weight =
-                  List.fold_left
-                    (fun acc (_, w) -> max acc w)
-                    0 (Q.tuples tight)
-                in
-                let prev = ref neg_infinity in
-                List.find_map
-                  (fun q ->
-                    let got = Q.quantile tight q in
-                    if got < sorted.(0) || got > sorted.(n - 1) then
-                      Some
-                        (Printf.sprintf
-                           "compacted: q=%g gave %g outside [%g, %g]" q got
-                           sorted.(0)
-                           sorted.(n - 1))
-                    else if got < !prev then
-                      Some
-                        (Printf.sprintf
-                           "compacted: q=%g gave %g < previous quantile %g" q
-                           got !prev)
-                    else if not (List.mem got xs) then
-                      Some
-                        (Printf.sprintf
-                           "compacted: q=%g gave %g, not an observed value" q
-                           got)
-                    else begin
-                      prev := got;
-                      (* rank-error bound: the answer's true rank range
-                         must be within max tuple weight of the target *)
-                      let target =
-                        max 1
-                          (min n (int_of_float (ceil (q *. float_of_int n))))
-                      in
-                      let first = ref max_int and last = ref 0 in
-                      Array.iteri
-                        (fun i v ->
-                          if v = got then begin
-                            if i + 1 < !first then first := i + 1;
-                            if i + 1 > !last then last := i + 1
-                          end)
-                        sorted;
-                      let dist =
-                        if target < !first then !first - target
-                        else if target > !last then target - !last
-                        else 0
-                      in
-                      if dist <= max_weight then None
-                      else
-                        Some
-                          (Printf.sprintf
-                             "compacted: q=%g gave %g, rank error %d > \
-                              bound %d"
-                             q got dist max_weight)
-                    end)
-                  qs
-                |> Option.fold ~none:Pass ~some:(fun m -> Fail m))))
-        | _ -> wrong_query "sketch-quantile" c);
+              (* 3-way split, merged under both associations *)
+              let third = max 1 (n / 3) in
+              let part k = List.filteri (fun i _ -> min 2 (i / third) = k) xs in
+              let sa = feed (part 0) and sb = feed (part 1) and sd = feed (part 2) in
+              match
+                List.find_opt
+                  (fun (_, h) -> digest h <> digest whole)
+                  [
+                    ("(a+b)+c", merged [ merged [ sa; sb ]; sd ]);
+                    ("a+(b+c)", merged [ sa; merged [ sb; sd ] ]);
+                  ]
+              with
+              | Some (label, h) ->
+                Fail (Printf.sprintf "merge %s: %s; whole: %s" label (describe h) (describe whole))
+              | None -> Pass))
+        | _ -> wrong_query "latency-summary" c);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1262,7 +1213,7 @@ let all =
     parallel_batch;
     standing_match;
     obs_roundtrip;
-    sketch_quantile;
+    latency_summary;
     ops_scrape;
   ]
 

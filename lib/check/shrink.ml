@@ -212,10 +212,10 @@ let rec query_candidates = function
   (* a failing report is already a self-contained repro: the JSON in the
      report line replays it without shrinking *)
   | Case.Obs_report _ -> []
-  | Case.Sketch_sample xs ->
+  | Case.Latency_sample xs ->
     if List.length xs > 1 then
       List.mapi
-        (fun i _ -> Case.Sketch_sample (List.filteri (fun j _ -> j <> i) xs))
+        (fun i _ -> Case.Latency_sample (List.filteri (fun j _ -> j <> i) xs))
         xs
     else []
   | Case.Standing ops ->

@@ -170,6 +170,7 @@ module Histogram = struct
 
   type t = {
     hist_name : string;
+    registered : bool; (* listed in reports, redirected to shard twins *)
     buckets : int array;
     mutable count : int;
     mutable sum : float;
@@ -178,16 +179,25 @@ module Histogram = struct
 
   let registry : t list ref = ref []
 
-  let detached name =
-    { hist_name = name; buckets = Array.make nbuckets 0; count = 0; sum = 0.0; max = 0.0 }
+  let detached ~registered name =
+    {
+      hist_name = name;
+      registered;
+      buckets = Array.make nbuckets 0;
+      count = 0;
+      sum = 0.0;
+      max = 0.0;
+    }
 
   let make name =
     match List.find_opt (fun h -> h.hist_name = name) !registry with
     | Some h -> h
     | None ->
-      let h = detached name in
+      let h = detached ~registered:true name in
       registry := h :: !registry;
       h
+
+  let create () = detached ~registered:false ""
 
   (* Domain-local histogram shard (see {!Shard}): name → unregistered
      twin.  While installed, observations into any registered histogram
@@ -199,7 +209,7 @@ module Histogram = struct
     match Hashtbl.find_opt tbl h.hist_name with
     | Some d -> d
     | None ->
-      let d = detached h.hist_name in
+      let d = detached ~registered:false h.hist_name in
       Hashtbl.add tbl h.hist_name d;
       d
 
@@ -209,7 +219,8 @@ module Histogram = struct
 
   let observe h v =
     let h =
-      match Domain.DLS.get shard_key with None -> h | Some tbl -> twin tbl h
+      if not h.registered then h
+      else match Domain.DLS.get shard_key with None -> h | Some tbl -> twin tbl h
     in
     let v = Float.max 0.0 v in
     h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
@@ -784,7 +795,7 @@ module Json = struct
     | _ -> None
 
   (* The one file-writing helper every CLI sink goes through ([--stats-json],
-     [--trace-out], [attest --out], [--telemetry-out], …): ["-"] means
+     [--trace-out], [attest --out], …): ["-"] means
      stdout, anything else is opened, written and closed under
      [Fun.protect] so the fd is released even when the write raises. *)
   let write_raw path contents =
@@ -1247,7 +1258,7 @@ module Openmetrics = struct
           (Printf.sprintf "%s%s %s\n" m braces (float_str g.gvalue)))
       gauges
 
-  (* labelled series (the telemetry layer's per-fingerprint sketches and
+  (* labelled series (the telemetry layer's per-fingerprint latencies and
      pick counts); one # TYPE line per metric name, then a series per
      label set.  A series with quantiles is a latency summary, one
      without is a counter. *)

@@ -105,13 +105,26 @@ type histogram_summary = {
     per-request latency), created and fed deliberately, not inline probes
     sprinkled through the hot paths — and their summaries must be
     available for the driver's plain-text report even when tracing is
-    off. *)
+    off.
+
+    They have two users: the serving layer's per-request latency (one
+    registered histogram, [serve_latency]) and the telemetry cost store,
+    whose every (fingerprint × strategy) cell keeps its latency in an
+    unregistered one from {!create}. *)
 module Histogram : sig
   type t
 
   val make : string -> t
   (** Create (or look up — names are deduplicated) a registered
       histogram. *)
+
+  val create : unit -> t
+  (** A fresh unregistered histogram: never listed in {!snapshot} or
+      reports, untouched by {!reset_all}, and never redirected into a
+      {!Shard} twin — observations always land in it directly, so two
+      domains must not feed it at once (the cost store feeds its cells
+      on the admitting domain, after the pool returns).  Its {!name} is
+      [""]. *)
 
   val observe : t -> float -> unit
   (** Record one sample (seconds; negative samples are clamped to 0). *)
@@ -352,7 +365,7 @@ module Openmetrics : sig
     count : int;
   }
   (** A labelled series from the telemetry layer.  With quantiles it is
-      a latency summary (the per-fingerprint sketches), rendered as
+      a latency summary (a cost-store cell's histogram), rendered as
       [treequery_<metric>_seconds{labels,quantile="q"} v] lines plus
       [_count]/[_sum].  Without quantiles it is a counter (the
       per-fingerprint optimizer picks), rendered as

@@ -2,7 +2,7 @@
 
     The serving (admitting) domain periodically freezes the current
     observability state — merged counters, histogram summaries, span
-    forest, per-fingerprint telemetry sketches, driver-supplied gauges —
+    forest, per-fingerprint telemetry summaries, caller-supplied gauges —
     into an immutable {!t} and publishes it with a single [Atomic.set].
     Scrape handlers running on the listener domain read the latest
     snapshot with [Atomic.get] and never touch a serving-path mutex.

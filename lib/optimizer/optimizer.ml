@@ -107,7 +107,9 @@ type arm = {
   name : string;
   prepared : Engine.prepared;
   arm_estimate : float;
-  explorable : bool;  (* estimate within [explore_span] of the best *)
+  explorable : bool;
+      (* estimate within [explore_span] of the best, and admitted if
+         any such arm is *)
 }
 
 (* What an entry learns is in the cost store; it memoises only whether
@@ -146,7 +148,7 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let entry_of t tree (default : Engine.prepared) =
+let entry_of t ~admit tree (default : Engine.prepared) =
   match Hashtbl.find_opt t.entries default.Engine.canon with
   | Some e -> e
   | None ->
@@ -167,16 +169,23 @@ let entry_of t tree (default : Engine.prepared) =
       List.fold_left (fun acc (_, _, e) -> Float.min acc e) infinity
         with_estimates
     in
+    let in_span (_, _, est) = est <= best *. explore_span in
+    (* an arm that admission rejects never runs, so it could never be
+       observed: it is explorable only when no arm in the span passes
+       admission (the shape is then rejected whatever is picked) *)
+    let some_admitted =
+      List.exists (fun ((_, p, _) as a) -> in_span a && admit p) with_estimates
+    in
     let arms =
       Array.of_list
         (List.map
-           (fun (s, p, est) ->
+           (fun ((s, p, est) as a) ->
              {
                strategy = s;
                name = Engine.strategy_name s;
                prepared = p;
                arm_estimate = est;
-               explorable = est <= best *. explore_span;
+               explorable = in_span a && (admit p || not some_admitted);
              })
            with_estimates)
     in
@@ -268,9 +277,9 @@ let explain_decision d =
     (String.concat ", "
        (List.map (fun (n, e) -> Printf.sprintf "%s=%.3g" n e) d.d_candidates))
 
-let decide t tree (default : Engine.prepared) =
+let decide ?(admit = fun _ -> true) t tree (default : Engine.prepared) =
   locked t @@ fun () ->
-  let e = entry_of t tree default in
+  let e = entry_of t ~admit tree default in
   e.decisions <- e.decisions + 1;
   t.total_decisions <- t.total_decisions + 1;
   Obs.Counter.incr c_decisions;

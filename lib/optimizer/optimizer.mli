@@ -10,11 +10,12 @@
 
     The routing state a shape learns lives in one place: the
     {!Telemetry.Cost_store} given to {!create}.  A decision reads each
-    {e plausible} arm's (estimate within a factor 16 of the best)
-    observation count and latency EWMA from the store.  Until every
-    plausible arm has been observed twice it explores the arm with the
-    fewest observations (first in strategy order on ties); from then on
-    the entry has {e converged} and every decision is the argmin by the
+    {e plausible} arm's (estimate within a factor 16 of the best, and
+    passing the caller's admission test, see {!decide}) observation
+    count and latency EWMA from the store.  Until every plausible arm
+    has been observed twice it explores the arm with the fewest
+    observations (first in strategy order on ties); from then on the
+    entry has {e converged} and every decision is the argmin by the
     EWMA.  The optimizer records nothing itself: a caller that wants it
     to learn records each execution into the store, as
     {!Serve.Server.run} does.  With deterministic latencies the whole
@@ -81,11 +82,22 @@ type decision = {
   d_candidates : (string * float) list;  (** all arms, name × estimate *)
 }
 
-val decide : t -> Treekit.Tree.t -> Treequery.Engine.prepared -> decision
+val decide :
+  ?admit:(Treequery.Engine.prepared -> bool) ->
+  t ->
+  Treekit.Tree.t ->
+  Treequery.Engine.prepared ->
+  decision
 (** Route one request: given the planner-default prepared plan, return
     the arm to execute.  The first call for a canonical form prepares
-    the sibling arms (once; they are cached with the entry).  Records
-    the pick in the attached cost store.  Thread-safe. *)
+    the sibling arms (once; they are cached with the entry) and fixes
+    the plausible set, using [admit], the caller's admission test
+    (default: admit everything; the server passes its deadline test,
+    which is fixed for a run).  An arm it rejects would never run,
+    hence never be observed, so it is not plausible — unless no arm
+    within the estimate span passes, in which case the span stands and
+    the shape is rejected whichever arm is picked.  Records the pick in
+    the attached cost store.  Thread-safe. *)
 
 val reason_to_string : reason -> string
 

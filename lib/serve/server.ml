@@ -164,6 +164,14 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
     | None -> ()
   in
   let strategy_of (p : Engine.prepared) = Engine.strategy_name p.Engine.strategy in
+  (* admission control: a plan whose bound exceeds what the deadline
+     affords is rejected before it runs; the optimizer explores only
+     arms that pass *)
+  let admit (p : Engine.prepared) =
+    match cfg.deadline with
+    | Some d -> naive_bound p tree <= d *. Optimizer.ops_per_second
+    | None -> true
+  in
   (* forced-strategy plans, compiled once per canonical shape (the plan
      cache holds the planner default; re-preparing per request would pay
      the rewrite strategy's exponential compile on every hit) *)
@@ -303,15 +311,10 @@ let run cfg tree (shapes : Workload.shape array) (reqs : Workload.request list) 
                 | Some s, _ -> apply_force s prepared
                 | None, None -> prepared
                 | None, Some opt ->
-                  (Optimizer.decide opt tree prepared).Optimizer.d_prepared
+                  (Optimizer.decide ~admit opt tree prepared).Optimizer.d_prepared
               in
               let bound = naive_bound prepared tree in
-              let over_bound =
-                match cfg.deadline with
-                | Some d -> bound > d *. Optimizer.ops_per_second
-                | None -> false
-              in
-              if over_bound then begin
+              if not (admit prepared) then begin
                 incr rejected;
                 Obs.Counter.incr c_rejected;
                 degraded := (prepared.Engine.fp, bound) :: !degraded;

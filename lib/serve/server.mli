@@ -43,8 +43,10 @@ type config = {
           also {!Telemetry.Flight_recorder.trigger} it *)
   optimizer : Optimizer.t option;
       (** adaptive strategy selection: every planned request is
-          re-routed through {!Optimizer.decide}, and admission control
-          prices the {e picked} arm's bound, not the planner default's.
+          re-routed through {!Optimizer.decide}, given the server's
+          admission test so that it explores only arms a [deadline]
+          admits, and admission control prices the {e picked} arm's
+          bound, not the planner default's.
           The optimizer learns only from the observations [telemetry]
           records, so an optimizer with a store must be given that
           store as [telemetry]; a store-less one routes by its seeded

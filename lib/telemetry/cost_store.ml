@@ -4,9 +4,8 @@
 type cell = {
   fingerprint : string;
   strategy : string;
-  latency : Sketch.Quantile.t;
+  latency : Obs.Histogram.t; (* unregistered; its count is the cell's served *)
   ewma : Sketch.Ewma.t;
-  mutable served : int;
   mutable predicted_total : float;
   mutable observed_total : float;
   mutable max_ratio : float;
@@ -26,9 +25,7 @@ module Key_map = Map.Make (struct
 end)
 
 type t = {
-  sketch_capacity : int;
   threshold : float;
-  half_life : float;
   clock : unit -> float;
   cells : (string * string, cell) Hashtbl.t; (* per-request lookups *)
   mutable index : cell Key_map.t; (* the same cells in key order *)
@@ -39,12 +36,7 @@ type summary = {
   fingerprint : string;
   strategy : string;
   served : int;
-  p50 : float;
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  max_latency : float;
-  mean_latency : float;
+  latency : Obs.histogram_summary;
   ewma_mean : float;
   ewma_std : float;
   predicted_total : float;
@@ -56,13 +48,10 @@ type summary = {
   counters : (string * int) list;
 }
 
-let create ?(sketch_capacity = 128) ?(threshold = 1.0) ?(half_life = 30.0)
-    ?(clock = Obs.now) () =
+let create ?(threshold = 1.0) ?(clock = Obs.now) () =
   if threshold <= 0.0 then invalid_arg "Cost_store.create: threshold must be > 0";
   {
-    sketch_capacity;
     threshold;
-    half_life;
     clock;
     cells = Hashtbl.create 32;
     index = Key_map.empty;
@@ -78,9 +67,8 @@ let cell t ~fingerprint ~strategy =
       {
         fingerprint;
         strategy;
-        latency = Sketch.Quantile.create ~capacity:t.sketch_capacity ();
-        ewma = Sketch.Ewma.create ~half_life:t.half_life ~clock:t.clock ();
-        served = 0;
+        latency = Obs.Histogram.create ();
+        ewma = Sketch.Ewma.create ~clock:t.clock ();
         predicted_total = 0.0;
         observed_total = 0.0;
         max_ratio = 0.0;
@@ -98,8 +86,7 @@ let cell t ~fingerprint ~strategy =
 let observe t ~fingerprint ~strategy ~predicted ~observed ~latency ~counters =
   let c = cell t ~fingerprint ~strategy in
   c.exposed <- None;
-  c.served <- c.served + 1;
-  Sketch.Quantile.add c.latency latency;
+  Obs.Histogram.observe c.latency latency;
   Sketch.Ewma.observe c.ewma latency;
   c.predicted_total <- c.predicted_total +. predicted;
   c.observed_total <- c.observed_total +. observed;
@@ -124,7 +111,7 @@ let is_empty t = Hashtbl.length t.cells = 0
 (* the adaptive optimizer's telemetry hooks: pick counters per cell
    (surfaced in summaries, JSON and the OpenMetrics exposition) and an
    O(1) read of what routing learns from — a cell's observation count
-   and latency EWMA, the same online estimate the sketches feed *)
+   and latency EWMA *)
 let record_pick t ~fingerprint ~strategy =
   let c = cell t ~fingerprint ~strategy in
   c.exposed <- None;
@@ -132,21 +119,15 @@ let record_pick t ~fingerprint ~strategy =
 
 let observations t ~fingerprint ~strategy =
   match Hashtbl.find_opt t.cells (fingerprint, strategy) with
-  | Some c when c.served > 0 -> (c.served, Sketch.Ewma.mean c.ewma)
-  | _ -> (0, 0.0)
+  | Some c -> (Obs.Histogram.count c.latency, Sketch.Ewma.mean c.ewma)
+  | None -> (0, 0.0)
 
 let summary_of_cell (c : cell) : summary =
-  let q = Sketch.Quantile.quantile c.latency in
   {
     fingerprint = c.fingerprint;
     strategy = c.strategy;
-    served = c.served;
-    p50 = q 0.5;
-    p90 = q 0.9;
-    p95 = q 0.95;
-    p99 = q 0.99;
-    max_latency = Sketch.Quantile.max_value c.latency;
-    mean_latency = Sketch.Quantile.mean c.latency;
+    served = Obs.Histogram.count c.latency;
+    latency = Obs.Histogram.summary c.latency;
     ewma_mean = Sketch.Ewma.mean c.ewma;
     ewma_std = Sketch.Ewma.std c.ewma;
     predicted_total = c.predicted_total;
@@ -167,7 +148,7 @@ let summaries t =
 
 let top_by_p99 ?(k = 5) t =
   summaries t
-  |> List.sort (fun a b -> compare (b.p99, b.served) (a.p99, a.served))
+  |> List.sort (fun a b -> compare (b.latency.p99, b.served) (a.latency.p99, a.served))
   |> List.filteri (fun i _ -> i < k)
 
 let outliers t =
@@ -181,12 +162,12 @@ let json_of_summary (s : summary) =
       ("fingerprint", Obs.Json.Str s.fingerprint);
       ("strategy", Obs.Json.Str s.strategy);
       ("served", Obs.Json.Num (float_of_int s.served));
-      ("p50_ms", Obs.Json.Num (s.p50 *. 1000.0));
-      ("p90_ms", Obs.Json.Num (s.p90 *. 1000.0));
-      ("p95_ms", Obs.Json.Num (s.p95 *. 1000.0));
-      ("p99_ms", Obs.Json.Num (s.p99 *. 1000.0));
-      ("max_ms", Obs.Json.Num (s.max_latency *. 1000.0));
-      ("mean_ms", Obs.Json.Num (s.mean_latency *. 1000.0));
+      ("p50_ms", Obs.Json.Num (s.latency.p50 *. 1000.0));
+      ("p90_ms", Obs.Json.Num (s.latency.p90 *. 1000.0));
+      ("p95_ms", Obs.Json.Num (s.latency.p95 *. 1000.0));
+      ("p99_ms", Obs.Json.Num (s.latency.p99 *. 1000.0));
+      ("max_ms", Obs.Json.Num (s.latency.max *. 1000.0));
+      ("mean_ms", Obs.Json.Num (s.latency.mean *. 1000.0));
       ("ewma_mean_ms", Obs.Json.Num (s.ewma_mean *. 1000.0));
       ("ewma_std_ms", Obs.Json.Num (s.ewma_std *. 1000.0));
       ("predicted_ops", Obs.Json.Num s.predicted_total);
@@ -213,14 +194,14 @@ let to_json t =
 (* Must agree with [summary_of_cell]: the exposition of a cell is what
    its summary would say.  A series without quantiles is rendered as a
    counter. *)
-let series_of_cell c =
-  let q = Sketch.Quantile.quantile c.latency in
+let series_of_cell (c : cell) =
+  let l = Obs.Histogram.summary c.latency in
   ( {
       Obs.Openmetrics.metric = "serve_fp_latency";
       labels = c.labels;
-      quantiles = [ ("0.5", q 0.5); ("0.9", q 0.9); ("0.95", q 0.95); ("0.99", q 0.99) ];
-      sum = Sketch.Quantile.mean c.latency *. float_of_int c.served;
-      count = c.served;
+      quantiles = [ ("0.5", l.p50); ("0.9", l.p90); ("0.95", l.p95); ("0.99", l.p99) ];
+      sum = l.mean *. float_of_int l.count;
+      count = l.count;
     },
     if c.picks = 0 then None
     else
@@ -263,7 +244,8 @@ let to_table ?(k = 5) t =
     List.iter
       (fun (s : summary) ->
         pr "  %-28s %-18s %6d %9.3f %9.3f %9.3f %8d\n" s.fingerprint s.strategy
-          s.served (1e3 *. s.p50) (1e3 *. s.p99) s.residual s.violations)
+          s.served (1e3 *. s.latency.p50) (1e3 *. s.latency.p99) s.residual
+          s.violations)
       (top_by_p99 ~k t);
     (match outliers t with
     | [] -> ()

@@ -24,12 +24,10 @@ type summary = {
   fingerprint : string;
   strategy : string;
   served : int;
-  p50 : float;  (** latency quantiles, seconds; exact under sketch capacity *)
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  max_latency : float;
-  mean_latency : float;
+  latency : Obs.histogram_summary;
+      (** seconds; the quantiles are bucketed, within a factor 2{^1/4}
+          (about 19%) of the exact order statistic, as [serve_latency]'s
+          are; count, mean and max are exact *)
   ewma_mean : float;  (** time-decayed latency mean (recent window) *)
   ewma_std : float;
   predicted_total : float;  (** Σ admission bounds, elementary ops *)
@@ -41,18 +39,13 @@ type summary = {
   counters : (string * int) list;  (** cumulative counter deltas, sorted *)
 }
 
-val create :
-  ?sketch_capacity:int ->
-  ?threshold:float ->
-  ?half_life:float ->
-  ?clock:(unit -> float) ->
-  unit ->
-  t
-(** [sketch_capacity] (default 128) sizes each latency sketch;
-    [threshold] (default 1.0) is the observed/predicted ratio above
-    which a request counts as a residual violation; [half_life]
-    (default 30 s) and [clock] (default {!Obs.now}) parameterise the
-    EWMA — injectable for deterministic tests. *)
+val create : ?threshold:float -> ?clock:(unit -> float) -> unit -> t
+(** [threshold] (default 1.0) is the observed/predicted ratio above
+    which a request counts as a residual violation; [clock] (default
+    {!Obs.now}) drives the cells' latency EWMAs (half-life 30 s) —
+    injectable for deterministic tests.  Each cell keeps its latency
+    in an unregistered {!Obs.Histogram}, so its size does not grow
+    with the samples it has seen. *)
 
 val observe :
   t ->
@@ -83,7 +76,7 @@ val observations : t -> fingerprint:string -> strategy:string -> int * float
     O(1) — [(0, 0.)] until the cell has served an observation.  This is
     all the adaptive optimizer learns from: it explores the arms with
     the fewest observations and then ranks them by the mean, so routing
-    tracks the same online estimate the sketches export. *)
+    tracks the same online estimate the summaries export. *)
 
 val summaries : t -> summary list
 (** All keys, in (fingerprint, strategy) order.  The store keeps its
@@ -98,8 +91,7 @@ val outliers : t -> summary list
 
 val to_json : t -> Obs.Json.t
 (** [{"threshold": τ, "violations": n, "fingerprints": [summary…]}] —
-    the per-fingerprint section of [--telemetry-out] and the
-    ["telemetry"] member spliced into [--stats-json]. *)
+    the ["telemetry"] member spliced into [serve --stats-json]. *)
 
 val openmetrics : t -> Obs.Openmetrics.summary list
 (** One labelled [serve_fp_latency] summary series per

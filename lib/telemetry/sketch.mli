@@ -1,58 +1,7 @@
 (** Streaming statistics for the serving layer's per-fingerprint cost
-    store: a mergeable quantile sketch and a time-decayed EWMA, both
-    allocation-light and (for the EWMA) injectable-clock like
-    {!Serve.Plan_cache}.
-
-    The quantile sketch is a weighted-sample digest in the GK/CKMS
-    family: it keeps at most [capacity] (value, weight) tuples sorted by
-    value.  While the number of distinct stored tuples is within
-    capacity the sketch is {e exact} — [quantile t q] equals the exact
-    rank-[⌈q·n⌉] order statistic of everything observed — which is what
-    the [sketch-quantile] differential oracle checks.  Beyond capacity,
-    adjacent tuples are merged greedily (smallest combined weight first,
-    deterministically), so the rank error of any answer is bounded by
-    the largest merged tuple weight over the total count.  Merging two
-    sketches concatenates their tuples and re-compacts: the operation is
-    commutative, and associative whenever the combined sketch stays
-    within capacity (tested by [test_telemetry]). *)
-
-module Quantile : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 128) bounds the stored tuples; must be ≥ 2. *)
-
-  val add : t -> float -> unit
-  (** Observe one sample. *)
-
-  val count : t -> int
-  (** Samples observed (including merged-in ones). *)
-
-  val quantile : t -> float -> float
-  (** [quantile t q] for q ∈ [0, 1]: the value whose cumulative weight
-      first reaches rank ⌈q·count⌉ (clamped to [1, count]); 0 when
-      empty.  Exact while the sketch is under capacity. *)
-
-  val min_value : t -> float
-  (** Exact; 0 when empty. *)
-
-  val max_value : t -> float
-  (** Exact; 0 when empty. *)
-
-  val sum : t -> float
-  (** Exact running sum of all samples. *)
-
-  val mean : t -> float
-
-  val merge : t -> t -> t
-  (** A fresh sketch over both inputs (inputs unchanged); capacity is
-      the larger of the two.  Commutative; exact (hence associative)
-      while the union fits in capacity. *)
-
-  val tuples : t -> (float * int) list
-  (** The stored (value, weight) tuples, ascending — for tests and
-      debugging. *)
-end
+    store: a time-decayed EWMA of each cell's latency, the online
+    estimate the adaptive optimizer ranks arms by.  A cell's latency
+    quantiles live in an {!Obs.Histogram}. *)
 
 (** Exponentially-weighted moving average of mean and variance with a
     configurable half-life in {e clock} seconds: a sample observed one

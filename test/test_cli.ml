@@ -124,6 +124,9 @@ let bad_serve_flags =
     ([ "--deadline-ms=-5" ], "--deadline-ms must be > 0");
     ([ "--stream-prefilter" ], "--stream-prefilter requires --batch");
     ([ "--dump-flight" ], "--dump-flight requires --flight-out");
+    ([ "--concurrency=0" ], "--concurrency must be >= 1");
+    ([ "--metrics-every=0" ], "--metrics-every must be > 0");
+    ([ "--residual-threshold=0" ], "--residual-threshold must be > 0");
   ]
 
 let suite =

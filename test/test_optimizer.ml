@@ -14,7 +14,8 @@
    - end-to-end: a serve run with --strategy auto semantics converges,
      and the converged entries route a second run without exploring; a
      pinned fixed strategy yields the same answers; the server refuses
-     an optimizer whose store it does not record into. *)
+     an optimizer whose store it does not record into; under a deadline
+     every shape learns from arms admission lets run. *)
 
 open Helpers
 module Engine = Treequery.Engine
@@ -209,6 +210,63 @@ let test_server_forced_strategy_matches_default () =
   in
   Alcotest.(check (pair int int)) "pinned strategy, same answers" base forced
 
+(* under a deadline, an arm that admission rejects never runs, so it can
+   never be observed: exploring it would re-pick it (and reject the
+   request) forever.  On the XMark workload of the CLI's
+   [serve --xmark 64 --requests 600 --shapes 30 --strategy auto
+   --deadline-ms 5], every shape must learn from an arm it can run *)
+let test_auto_under_deadline_explores_admitted_arms () =
+  let seed = 42 and deadline = 0.005 in
+  let tree = Treekit.Generator.xmark ~seed ~scale:64 () in
+  let rng = Random.State.make [| seed; 0xda7a |] in
+  let shapes = Serve.Workload.shapes ~rng ~count:30 in
+  let reqs =
+    Serve.Workload.requests ~rng ~shapes:(Array.length shapes) ~count:600
+      Serve.Workload.Closed_loop
+  in
+  let store = Telemetry.Cost_store.create () in
+  let opt = Optimizer.create ~store () in
+  let cfg =
+    Serve.Server.config ~cache:(Serve.Plan_cache.create ~capacity:128 ())
+      ~deadline ~telemetry:store ~optimizer:opt ()
+  in
+  let stats = Serve.Server.run cfg tree shapes reqs in
+  Alcotest.(check int) "every request served or rejected" 600
+    (stats.Serve.Server.served + stats.Serve.Server.rejected);
+  (* fingerprint -> the strategies whose bound fits the budget *)
+  let admitted = Hashtbl.create 32 in
+  Array.iter
+    (fun (s : Serve.Workload.shape) ->
+      let default = Engine.prepare s.Serve.Workload.query in
+      List.iter
+        (fun st ->
+          let p = Engine.prepare_with st default.Engine.source in
+          if Serve.Server.naive_bound p tree <= deadline *. Optimizer.ops_per_second
+          then Hashtbl.add admitted default.Engine.fp (Engine.strategy_name st))
+        (Engine.strategies default.Engine.source))
+    shapes;
+  List.iter
+    (fun (r : Optimizer.entry_report) ->
+      let plausible =
+        List.filter (fun (a : Optimizer.arm_report) -> a.Optimizer.r_explorable)
+          r.Optimizer.r_arms
+      in
+      if
+        List.exists
+          (fun (a : Optimizer.arm_report) ->
+            List.mem a.Optimizer.r_strategy
+              (Hashtbl.find_all admitted r.Optimizer.r_fingerprint))
+          plausible
+      then
+        Alcotest.(check bool)
+          (r.Optimizer.r_fingerprint ^ ": a plausible arm was observed")
+          true
+          (List.exists (fun (a : Optimizer.arm_report) -> a.Optimizer.r_trials > 0) plausible))
+    (Optimizer.report opt);
+  let os = Optimizer.stats opt in
+  Alcotest.(check int) "every shape converged" os.Optimizer.entries
+    os.Optimizer.converged
+
 (* ------------------------------------------------------------------ *)
 (* nothing to learn *)
 
@@ -296,4 +354,6 @@ let suite =
       test_single_plausible_arm_never_explores;
     Alcotest.test_case "server rejects an optimizer with a foreign store"
       `Quick test_server_rejects_foreign_store;
+    Alcotest.test_case "auto under a deadline explores only admitted arms"
+      `Quick test_auto_under_deadline_explores_admitted_arms;
   ]

@@ -1,7 +1,4 @@
 (* The telemetry layer:
-   - quantile sketch: exact vs a sorted-array reference under capacity,
-     merge commutativity always / associativity under capacity,
-     deterministic compaction above capacity;
    - EWMA: injectable-clock determinism, half-life semantics, and the
      frozen-clock fallback to the cumulative average;
    - flight recorder: ring wraparound keeps exactly the last N entries,
@@ -9,109 +6,15 @@
    - server integration: a tight residual threshold with injected
      over-budget work trips the violation counter and the recorder
      trigger, while a standard run stays dump-free; virtual-time metric
-     ticks are deterministic under a fake clock. *)
+     ticks are deterministic under a fake clock;
+   - cost store: incremental exposition equals a full rebuild, picks
+     are a counter family, and a cell's memory does not grow with its
+     sample count. *)
 
 open Helpers
-module Q = Telemetry.Sketch.Quantile
 module Ewma = Telemetry.Sketch.Ewma
 module FR = Telemetry.Flight_recorder
 module E = Treequery.Engine
-
-(* ------------------------------------------------------------------ *)
-(* quantile sketch *)
-
-let qs = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
-
-let reference sorted q =
-  let n = Array.length sorted in
-  let rank = max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) in
-  sorted.(rank - 1)
-
-let feed ?(capacity = 128) xs =
-  let t = Q.create ~capacity () in
-  List.iter (Q.add t) xs;
-  t
-
-let random_sample rng n =
-  List.init n (fun _ -> float_of_int (Random.State.int rng 40) /. 4.0)
-
-let test_sketch_exact_under_capacity () =
-  let rng = Random.State.make [| 42 |] in
-  for _ = 1 to 200 do
-    let n = 1 + Random.State.int rng 60 in
-    let xs = random_sample rng n in
-    let sorted = Array.of_list (List.sort compare xs) in
-    let t = feed xs in
-    Alcotest.(check int) "count" n (Q.count t);
-    Alcotest.(check (float 0.0)) "min" sorted.(0) (Q.min_value t);
-    Alcotest.(check (float 0.0)) "max" sorted.(n - 1) (Q.max_value t);
-    Alcotest.(check (float 0.0))
-      "sum" (List.fold_left ( +. ) 0.0 xs) (Q.sum t);
-    List.iter
-      (fun q ->
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "q=%g" q) (reference sorted q) (Q.quantile t q))
-      qs
-  done
-
-let test_sketch_merge_commutative () =
-  let rng = Random.State.make [| 7 |] in
-  for _ = 1 to 100 do
-    let xs = random_sample rng (1 + Random.State.int rng 40) in
-    let ys = random_sample rng (1 + Random.State.int rng 40) in
-    (* small capacity too: commutativity must survive compaction *)
-    List.iter
-      (fun capacity ->
-        let ab = Q.merge (feed ~capacity xs) (feed ~capacity ys) in
-        let ba = Q.merge (feed ~capacity ys) (feed ~capacity xs) in
-        Alcotest.(check (list (pair (float 0.0) int)))
-          (Printf.sprintf "tuples agree at capacity %d" capacity)
-          (Q.tuples ab) (Q.tuples ba))
-      [ 4; 128 ]
-  done
-
-let test_sketch_merge_associative_under_capacity () =
-  let rng = Random.State.make [| 13 |] in
-  for _ = 1 to 100 do
-    let xs = random_sample rng (1 + Random.State.int rng 20) in
-    let ys = random_sample rng (1 + Random.State.int rng 20) in
-    let zs = random_sample rng (1 + Random.State.int rng 20) in
-    let s () = (feed xs, feed ys, feed zs) in
-    let a, b, c = s () in
-    let left = Q.merge (Q.merge a b) c in
-    let a, b, c = s () in
-    let right = Q.merge a (Q.merge b c) in
-    Alcotest.(check (list (pair (float 0.0) int)))
-      "association order irrelevant" (Q.tuples left) (Q.tuples right);
-    let sorted = Array.of_list (List.sort compare (xs @ ys @ zs)) in
-    List.iter
-      (fun q ->
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "merged q=%g exact" q) (reference sorted q)
-          (Q.quantile left q))
-      qs
-  done
-
-let test_sketch_compaction () =
-  let xs = List.init 1000 (fun i -> float_of_int (i mod 97)) in
-  let t = feed ~capacity:16 xs in
-  Alcotest.(check int) "count survives compaction" 1000 (Q.count t);
-  Alcotest.(check bool) "tuples bounded" true (List.length (Q.tuples t) <= 16);
-  Alcotest.(check (float 0.0)) "min exact" 0.0 (Q.min_value t);
-  Alcotest.(check (float 0.0)) "max exact" 96.0 (Q.max_value t);
-  (* deterministic: same input, same digest *)
-  let t' = feed ~capacity:16 xs in
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "deterministic" (Q.tuples t) (Q.tuples t');
-  (* answers are observed values, monotone in q *)
-  let prev = ref neg_infinity in
-  List.iter
-    (fun q ->
-      let v = Q.quantile t q in
-      Alcotest.(check bool) "observed value" true (List.mem v xs);
-      Alcotest.(check bool) "monotone" true (v >= !prev);
-      prev := v)
-    qs
 
 (* ------------------------------------------------------------------ *)
 (* EWMA *)
@@ -316,8 +219,8 @@ let test_standard_run_dump_free () =
   Alcotest.(check int) "one key" 1 (List.length summaries);
   let s = List.hd summaries in
   Alcotest.(check int) "served per key" 20 s.Telemetry.Cost_store.served;
-  Alcotest.(check bool) "p99 >= p50" true
-    (s.Telemetry.Cost_store.p99 >= s.Telemetry.Cost_store.p50)
+  let l = s.Telemetry.Cost_store.latency in
+  Alcotest.(check bool) "p99 >= p50" true (l.Obs.p99 >= l.Obs.p50)
 
 let test_metric_ticks_deterministic () =
   (* fake clock advancing 0.1 virtual seconds per reading; with
@@ -366,12 +269,12 @@ let series_of_summaries (ss : CS.summary list) =
   in
   List.map
     (fun (s : CS.summary) ->
+      let l = s.CS.latency in
       {
         Obs.Openmetrics.metric = "serve_fp_latency";
         labels = labels s;
-        quantiles =
-          [ ("0.5", s.CS.p50); ("0.9", s.CS.p90); ("0.95", s.CS.p95); ("0.99", s.CS.p99) ];
-        sum = s.CS.mean_latency *. float_of_int s.CS.served;
+        quantiles = [ ("0.5", l.Obs.p50); ("0.9", l.Obs.p90); ("0.95", l.Obs.p95); ("0.99", l.Obs.p99) ];
+        sum = l.Obs.mean *. float_of_int s.CS.served;
         count = s.CS.served;
       })
     ss
@@ -407,17 +310,14 @@ let store_op_print = function
 
 (* the store recomputes only the cells touched since its previous
    exposition: after any interleaving, each exposition must equal the
-   one built from scratch at that moment (small sketches, so flushes
-   and compaction happen between expositions too) *)
+   one rebuilt from the summaries at that moment *)
 let prop_incremental_exposition =
-  let print (capacity, ops) =
-    Printf.sprintf "capacity %d: %s" capacity (String.concat " " (List.map store_op_print ops))
-  in
-  let gen = QCheck2.Gen.(pair (int_range 2 6) (list_size (int_range 0 80) store_op_gen)) in
+  let print ops = String.concat " " (List.map store_op_print ops) in
+  let gen = QCheck2.Gen.(list_size (int_range 0 80) store_op_gen) in
   QCheck_alcotest.to_alcotest ~long:false
     (QCheck2.Test.make ~count:300 ~name:"incremental exposition = from scratch" ~print gen
-       (fun (capacity, ops) ->
-         let store = CS.create ~sketch_capacity:capacity ~clock:(fun () -> 0.0) () in
+       (fun ops ->
+         let store = CS.create ~clock:(fun () -> 0.0) () in
          let fp i = Printf.sprintf "fp%d" i and strategy j = Printf.sprintf "s%d" j in
          let agrees () = CS.openmetrics store = series_of_summaries (CS.summaries store) in
          List.for_all
@@ -478,16 +378,26 @@ let test_picks_counter_family () =
       | _ -> ())
     lines
 
+(* a cell's latency summary has a fixed size: a one-cell store takes
+   the same number of words after 10 and after 10,000 distinct
+   latencies *)
+let test_cell_memory_constant () =
+  let store = CS.create ~clock:(fun () -> 0.0) () in
+  let observe i =
+    ignore
+      (CS.observe store ~fingerprint:"fp" ~strategy:"yannakakis" ~predicted:1.0
+         ~observed:1.0
+         ~latency:(1e-5 *. (1.0 +. (float_of_int i /. 1000.0)))
+         ~counters:[])
+  in
+  for i = 1 to 10 do observe i done;
+  let after_10 = Obj.reachable_words (Obj.repr store) in
+  for i = 11 to 10_000 do observe i done;
+  Alcotest.(check int) "words after 10 = after 10,000 samples" after_10
+    (Obj.reachable_words (Obj.repr store))
+
 let suite =
   [
-    Alcotest.test_case "sketch exact under capacity" `Quick
-      test_sketch_exact_under_capacity;
-    Alcotest.test_case "sketch merge commutative" `Quick
-      test_sketch_merge_commutative;
-    Alcotest.test_case "sketch merge associative under capacity" `Quick
-      test_sketch_merge_associative_under_capacity;
-    Alcotest.test_case "sketch compaction bounded + deterministic" `Quick
-      test_sketch_compaction;
     Alcotest.test_case "ewma deterministic under fake clock" `Quick
       test_ewma_deterministic;
     Alcotest.test_case "ewma half-life semantics" `Quick test_ewma_half_life;
@@ -509,4 +419,6 @@ let suite =
     prop_incremental_exposition;
     Alcotest.test_case "picks exposed as a counter family" `Quick
       test_picks_counter_family;
+    Alcotest.test_case "cost-store cell memory is constant in its sample count"
+      `Quick test_cell_memory_constant;
   ]
