@@ -153,7 +153,6 @@ let handle_errors f =
   | Treekit.Xml.Parse_error m -> `Error (false, "XML: " ^ m)
   | Treekit.Parse_error.Error { pos; msg } ->
     `Error (false, Treekit.Parse_error.to_string ~pos ~msg)
-  | Mdatalog.Parser.Syntax_error m -> `Error (false, "datalog: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* --ops-listen: the live ops plane.  A publisher holds the latest
@@ -163,14 +162,7 @@ let handle_errors f =
    domain without ever touching serving-path state. *)
 
 let all_strategy_names =
-  String.concat ","
-    (List.map Engine.strategy_name
-       [
-         Engine.Xpath_bottom_up; Engine.Cq_yannakakis;
-         Engine.Cq_arc_consistency; Engine.Cq_rewrite;
-         Engine.Datalog_hornsat; Engine.Positive_rewrite;
-         Engine.Datalog_fixpoint; Engine.Xpath_fo2;
-       ])
+  String.concat "," (List.map Engine.strategy_name Engine.all_strategies)
 
 let ops_publisher () =
   Opsplane.Snapshot.create ~version:"1.0.0" ~strategies:all_strategy_names ()
@@ -672,7 +664,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "dump-flight" ] ~doc:"Write the flight-recorder dump even when no trigger fired.")
   in
   let inject_overbudget_arg =
-    Arg.(value & flag & info [ "inject-overbudget" ] ~doc:"Fault injection: burn un-priced counter work inside every served plan's execution (each request, or each distinct plan with --batch) so its observed cost exceeds the admission bound; the run must then trip the residual gate (used by the telemetry smoke tests).")
+    Arg.(value & flag & info [ "inject-overbudget" ] ~doc:"Fault injection: burn un-priced counter work inside every served plan's execution (each request, or each distinct plan with --batch) so its observed cost exceeds its price; the run must then trip the residual gate (used by the telemetry smoke tests).")
   in
   let ops_listen_arg =
     Arg.(value & opt (some int) None & info [ "ops-listen" ] ~docv:"PORT" ~doc:"Serve the live ops plane on http://127.0.0.1:$(docv) for the duration of the run: /metrics (OpenMetrics), /healthz, /readyz, /statusz, /tracez and /flightz, fed by lock-free snapshots published on the --metrics-every cadence (default 1s). 0 binds an ephemeral port (printed at startup).")

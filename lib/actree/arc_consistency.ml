@@ -4,7 +4,7 @@ module Nodeset = Treekit.Nodeset
 open Cqtree.Query
 
 (* one bump per directed revision of a binary constraint in the
-   propagation loop; Theorem 6.5's O(||A||·|Q|) bound caps the total *)
+   propagation loop: at most 2·(n + 1) per atom *)
 let c_revisions = Obs.Counter.make "arc_revisions"
 
 let c_domain = Obs.Counter.make "domain_nodes_retained"
@@ -53,26 +53,32 @@ let result_of q domains =
   let pv = List.map (fun x -> (x, Hashtbl.find domains x)) (vars q) in
   if List.exists (fun (_, s) -> Nodeset.is_empty s) pv then None else Some pv
 
+(* AC-3 over variables: every variable is visited once, and again each
+   time its domain shrinks (at most |A| times), revising the other end
+   of each incident atom from it *)
 let direct ?env q tree =
   (match check q with Ok () -> () | Error m -> invalid_arg ("Arc_consistency: " ^ m));
   let domains = start_domains ?env q tree in
-  let binary =
-    List.filter_map (function A (a, x, y) -> Some (a, x, y) | U _ -> None) q.atoms
+  let queue = Queue.create () in
+  let push x = if not (Queue.fold (fun seen y -> seen || y = x) false queue) then Queue.add x queue in
+  List.iter push (vars q);
+  let revise axis ~from y =
+    Obs.Counter.incr c_revisions;
+    let dy = Hashtbl.find domains y in
+    let before = Nodeset.cardinal dy in
+    Nodeset.inter_into dy (Axis.image tree axis (Hashtbl.find domains from));
+    if Nodeset.cardinal dy <> before then push y
   in
   Obs.Span.with_ "arc-consistency:propagate" (fun () ->
-      let changed = ref true in
-      while !changed do
-        changed := false;
+      while not (Queue.is_empty queue) do
+        let x = Queue.pop queue in
         List.iter
-          (fun (a, x, y) ->
-            Obs.Counter.incr c_revisions;
-            let dx = Hashtbl.find domains x and dy = Hashtbl.find domains y in
-            let cx = Nodeset.cardinal dx and cy = Nodeset.cardinal dy in
-            Nodeset.inter_into dx (Axis.image tree (Axis.inverse a) dy);
-            Nodeset.inter_into dy (Axis.image tree a dx);
-            if Nodeset.cardinal dx <> cx || Nodeset.cardinal dy <> cy then
-              changed := true)
-          binary
+          (function
+            | A (a, u, v) ->
+              if u = x then revise a ~from:x v;
+              if v = x then revise (Axis.inverse a) ~from:x u
+            | U _ -> ())
+          q.atoms
       done);
   List.iter
     (fun x -> Obs.Counter.add c_domain (Nodeset.cardinal (Hashtbl.find domains x)))

@@ -11,9 +11,10 @@
       which for transitive axes is quadratic in the tree — exactly the
       O(‖A‖·|Q|) bound the paper states.
     - {!direct} is a worklist (AC-3 style) algorithm over node-set
-      domains, revising both endpoints of each binary atom with
-      set-at-a-time axis images; each pass is O(n·|Q|) and at most
-      O(n·|Q|) revisions fire, so it is the fast engine.
+      domains: a variable is revisited only when its domain shrinks, at
+      most n times, and each visit revises the other end of its
+      incident atoms with one set-at-a-time O(n) axis image — O(n²·|Q|)
+      in the worst case, and the fast engine in practice.
 
     Both return [None] when no arc-consistent pre-valuation exists (some
     domain becomes empty) — in which case the query is unsatisfiable. *)

@@ -203,13 +203,6 @@ let sweep_xpath ~seed =
    store's clock is frozen so its EWMA is the plain mean. *)
 let c_picked_cost = Obs.Counter.make "optimizer_picked_cost"
 
-let counter_delta before after =
-  List.fold_left
-    (fun acc (k, v) ->
-      let b = Option.value ~default:0 (List.assoc_opt k before) in
-      if v > b then acc + (v - b) else acc)
-    0 after
-
 let sweep_optimizer_with ~invert ~sizes ~seed =
   List.map
     (fun n ->
@@ -226,9 +219,7 @@ let sweep_optimizer_with ~invert ~sizes ~seed =
       let store = Telemetry.Cost_store.create ~clock:(fun () -> 0.0) () in
       let opt = Optimizer.create ~invert ~store () in
       let work (p : Engine.prepared) =
-        let before = Obs.Counter.snapshot () in
-        ignore (p.Engine.exec t);
-        counter_delta before (Obs.Counter.snapshot ())
+        Engine.work (snd (Obs.Scope.collect "work" (fun () -> p.Engine.exec t)))
       in
       let floor =
         traced (fun () ->

@@ -597,6 +597,68 @@ let optimizer_pick =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The price table                                                      *)
+
+(* Every arm of [Engine.strategies] — planner default and alternatives
+   alike — runs [exec] and then [exec_boolean], each under one scope;
+   the work each counts must not exceed the plan's price on the case's
+   tree.  Counting needs observability on, so the runs happen inside a
+   private shard that is never merged: the oracle leaves no counters or
+   spans behind. *)
+let price_covers_work =
+  {
+    name = "price-covers-work";
+    theorem =
+      "Fig. 7 map (Thm 3.2, Prop. 4.2, Thm 5.1, Thm 6.5): a plan's price \
+       bounds its counted work";
+    cap_nodes = 40;
+    gen =
+      (fun cfg rng ->
+        if Random.State.bool rng then Gen.xpath cfg rng
+        else Gen.cq_arbitrary cfg rng);
+    run =
+      (fun c ->
+        let module E = Treequery.Engine in
+        let query =
+          match c.Case.query with
+          | Case.Xpath p -> Some (E.Xpath_query p)
+          | Case.Cq q -> Some (E.Cq_query q)
+          | _ -> None
+        in
+        match query with
+        | None -> wrong_query "price-covers-work" c
+        | Some q ->
+          let n = Tree.size c.tree in
+          let over s run =
+            let p = E.prepare_with s q in
+            let price = E.price p ~n:(float_of_int n) in
+            let work =
+              E.work (snd (Obs.Scope.collect "price" (fun () -> run p c.tree)))
+            in
+            if float_of_int work <= price then None
+            else
+              Some
+                (Printf.sprintf "%s: counted %d > price %.0f (n = %d, size %d)"
+                   (E.strategy_name s) work price n p.E.size)
+          in
+          Obs.with_enabled true @@ fun () ->
+          Obs.Shard.run (Obs.Shard.create ()) @@ fun () ->
+          let runs =
+            [
+              (fun (p : E.prepared) t -> ignore (p.E.exec t));
+              (fun (p : E.prepared) t -> ignore (p.E.exec_boolean t));
+            ]
+          in
+          match
+            List.find_map
+              (fun s -> List.find_map (over s) runs)
+              (E.strategies q)
+          with
+          | Some m -> Fail m
+          | None -> Pass);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Parallel batch execution                                             *)
 
 (* Pool-executed batch answers must be indistinguishable from the
@@ -1215,6 +1277,7 @@ let all =
     obs_roundtrip;
     latency_summary;
     ops_scrape;
+    price_covers_work;
   ]
 
 let find name = List.find_opt (fun o -> o.name = name) all

@@ -17,7 +17,12 @@ let make disjuncts =
       invalid_arg "Positive.make: disjuncts have different head arities";
     { arity; disjuncts }
 
-let of_strings ss = make (List.map Query.of_string ss)
+let parse i s =
+  try Query.of_string s
+  with Treekit.Parse_error.Error { pos; msg } ->
+    Treekit.Parse_error.raise_at pos "disjunct %d: %s" (i + 1) msg
+
+let of_strings ss = make (List.mapi parse ss)
 
 let boolean ?env u tree =
   List.exists (fun q -> Rewrite.boolean ?env q tree) u.disjuncts

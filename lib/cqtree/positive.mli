@@ -17,7 +17,9 @@ val make : Query.t list -> t
     or head arities differ. *)
 
 val of_strings : string list -> t
-(** Parse each disjunct with {!Query.of_string}. *)
+(** Parse each disjunct with {!Query.of_string}.
+    @raise Treekit.Parse_error.Error at the offset into the failing
+    disjunct, whose 1-based number the message names. *)
 
 val boolean : ?env:Query.env -> t -> Treekit.Tree.t -> bool
 (** Via {!Rewrite} per disjunct. *)

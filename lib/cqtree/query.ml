@@ -82,7 +82,14 @@ let normalize_forward q =
         | a -> Some a)
       q.atoms
   in
-  { q with atoms }
+  (* a variable that occurred only in Self atoms still ranges over
+     every node (checked only when a Self atom went: evaluation
+     normalises on every run) *)
+  if List.compare_lengths atoms q.atoms = 0 then { q with atoms }
+  else
+    let kept = List.concat_map atom_vars atoms in
+    let lost = List.filter (fun x -> not (List.mem x kept)) (vars q) in
+    { q with atoms = atoms @ List.map (fun x -> U (True, x)) lost }
 
 let signature q =
   let q = normalize_forward q in
@@ -102,11 +109,10 @@ let signature q =
 (* ------------------------------------------------------------------ *)
 (* Concrete syntax *)
 
-let fail fmt = Format.kasprintf failwith fmt
-
 let of_string input =
   (* q(X, Y) :- atom, atom, ... .   — tokenisation is simple enough to do
-     with a cursor *)
+     with a cursor; errors are positioned at the offending offset *)
+  let fail_at = Treekit.Parse_error.raise_at in
   let n = String.length input in
   let pos = ref 0 in
   let peek () = if !pos < n then Some input.[!pos] else None in
@@ -123,20 +129,21 @@ let of_string input =
     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '+' | '*' -> true
     | _ -> false
   in
+  (* a name and the offset it starts at *)
   let word () =
     skip_ws ();
     let start = !pos in
     while (match peek () with Some c when is_word c -> true | _ -> false) do
       incr pos
     done;
-    if !pos = start then fail "expected a name at offset %d" start;
-    String.sub input start (!pos - start)
+    if !pos = start then fail_at start "expected a name";
+    (start, String.sub input start (!pos - start))
   in
   let eat c what =
     skip_ws ();
     match peek () with
     | Some c' when c' = c -> incr pos
-    | _ -> fail "expected %s at offset %d" what !pos
+    | _ -> fail_at !pos "expected %s" what
   in
   let string_lit () =
     skip_ws ();
@@ -150,16 +157,20 @@ let of_string input =
     s
   in
   let is_var w = w <> "" && (match w.[0] with 'A' .. 'Z' | '_' -> true | _ -> false) in
+  let var what =
+    let at, w = word () in
+    if not (is_var w) then fail_at at "%s" what;
+    w
+  in
   (* head *)
-  let _qname = word () in
+  ignore (word ());
   skip_ws ();
   let head =
     match peek () with
     | Some '(' ->
       incr pos;
       let rec go acc =
-        let w = word () in
-        if not (is_var w) then fail "head arguments must be variables";
+        let w = var "head arguments must be variables" in
         skip_ws ();
         match peek () with
         | Some ',' ->
@@ -168,7 +179,7 @@ let of_string input =
         | Some ')' ->
           incr pos;
           List.rev (w :: acc)
-        | _ -> fail "expected ',' or ')' in head"
+        | _ -> fail_at !pos "expected ',' or ')' in head"
       in
       go []
     | _ -> []
@@ -176,10 +187,9 @@ let of_string input =
   eat ':' "':-'";
   eat '-' "':-'";
   let parse_atom () =
-    let name = word () in
+    let at, name = word () in
     eat '(' "'('" ;
-    let first = word () in
-    if not (is_var first) then fail "atom arguments must start with a variable";
+    let first = var "atom arguments must start with a variable" in
     skip_ws ();
     match peek () with
     | Some ')' ->
@@ -190,10 +200,10 @@ let of_string input =
         | "leaf" -> Leaf
         | "firstsibling" -> First_sibling
         | "lastsibling" -> Last_sibling
-        | "lab" -> fail "lab needs a label argument: lab(X, \"a\")"
+        | "lab" -> fail_at at "lab needs a label argument: lab(X, \"a\")"
         | other -> (
           match Axis.of_name other with
-          | Some _ -> fail "%s is a binary axis and needs two arguments" other
+          | Some _ -> fail_at at "%s is a binary axis and needs two arguments" other
           | None -> Named other)
       in
       U (u, first)
@@ -204,18 +214,17 @@ let of_string input =
         match peek () with
         | Some '"' ->
           if String.lowercase_ascii name <> "lab" then
-            fail "only lab takes a string argument";
+            fail_at at "only lab takes a string argument";
           U (Lab (string_lit ()), first)
         | _ ->
-          let second = word () in
-          if not (is_var second) then fail "expected a variable";
+          let second = var "expected a variable" in
           (match Axis.of_name name with
           | Some a -> A (a, first, second)
-          | None -> fail "unknown axis %s" name)
+          | None -> fail_at at "unknown axis %s" name)
       in
       eat ')' "')'";
       atom
-    | _ -> fail "expected ',' or ')' at offset %d" !pos
+    | _ -> fail_at !pos "expected ',' or ')'"
   in
   let rec atoms acc =
     let a = parse_atom () in
@@ -228,10 +237,11 @@ let of_string input =
       incr pos;
       List.rev (a :: acc)
     | None -> List.rev (a :: acc)
-    | _ -> fail "expected ',' or '.' at offset %d" !pos
+    | _ -> fail_at !pos "expected ',' or '.'"
   in
   let q = { head; atoms = atoms [] } in
-  (match check q with Ok () -> () | Error m -> fail "%s" m);
+  (* a well-formed text that is not a query: the head is at fault *)
+  (match check q with Ok () -> () | Error m -> fail_at 0 "%s" m);
   q
 
 let atom_to_string = function

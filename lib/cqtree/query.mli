@@ -59,8 +59,8 @@ val rename : (var -> var) -> t -> t
 val normalize_forward : t -> t
 (** Replace every inverse-axis atom [A⁻¹(x,y)] by [A(y,x)] and every
     [Self(x,y)] atom by unifying [x] and [y]; the result uses only the
-    forward axes of {!Treekit.Axis.forward} minus [Self].  Semantics are
-    preserved. *)
+    forward axes of {!Treekit.Axis.forward} minus [Self]; a variable left
+    in no atom gets a [True] atom.  Semantics are preserved. *)
 
 val signature : t -> Treekit.Axis.t list
 (** The distinct axes used by binary atoms, after forward normalisation. *)
@@ -72,7 +72,8 @@ val of_string : string -> t
     {!Treekit.Axis.of_name} (so both ["descendant"] and ["child+"] work);
     unary names: [root], [leaf], [firstsibling], [lastsibling], [lab],
     anything else is a [Named] set.  A Boolean query is written [q :- …].
-    @raise Failure on syntax errors. *)
+    @raise Treekit.Parse_error.Error at the offending offset (offset 0
+    when the text parses but is not a query, see {!check}). *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -62,7 +62,8 @@ let parse input =
       let name = head_name pos stmt in
       let q =
         try Q.of_string (stmt ^ ".")
-        with Failure m -> Treekit.Parse_error.raise_at pos "%s" m
+        with Treekit.Parse_error.Error { pos = at; msg } ->
+          Treekit.Parse_error.raise_at (pos + at) "%s" msg
       in
       (match q.Q.head with
       | [ v ] -> go ({ head = name; head_var = v; body = q.Q.atoms } :: acc) rest

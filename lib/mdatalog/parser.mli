@@ -16,10 +16,5 @@
     [child] (binary).  Any other lower-case name is an intensional (or
     externally supplied) unary predicate.  [%] starts a comment. *)
 
-exception Syntax_error of string
-
 val parse : string -> Ast.program
-(** @raise Syntax_error with a readable message on bad input. *)
-
-val parse_rule : string -> Ast.rule
-(** Parse a single clause (without the query directive). *)
+(** @raise Treekit.Parse_error.Error at the offending token's offset *)

@@ -63,37 +63,20 @@ let selectivity stats query =
     (* an absent label still costs one bucket probe; clamp away 0 *)
     Float.max sel (1.0 /. float_of_int (max 1 stats.Stats.nodes))
 
-(* The seeded per-arm estimate: the paper's per-strategy bound (the same
-   shapes [Serve.Server.naive_bound] prices admission with) with the
-   data term narrowed by label selectivity for the label-driven engines.
-   FO² stays label-blind — its intermediates are n² cylinders no matter
-   how rare the labels. *)
+(* The seeded per-arm estimate: the plan's price from the engine's one
+   table, discounted on label-driven rows by label selectivity — a
+   label-driven pass always pays an O(n) skeleton walk, and only its
+   per-|Q| re-traversals shrink with the rarest mentioned label.  The
+   other rows (Horn-SAT's grounding, FO²'s n² cylinders, the fixpoint's
+   rounds) touch every node whatever the labels, and keep n. *)
 let estimate stats (p : Engine.prepared) =
   let n = float_of_int stats.Stats.nodes in
-  let q = float_of_int (Engine.query_size p.Engine.source) in
-  let sel = selectivity stats p.Engine.source in
-  (* a label-driven pass always pays an O(n) skeleton walk; only the
-     per-|Q| re-traversals shrink with selectivity *)
-  let eff = n *. (0.25 +. (0.75 *. sel)) in
-  match p.Engine.strategy with
-  | Engine.Xpath_bottom_up -> eff *. q *. q
-  | Engine.Cq_yannakakis | Engine.Cq_arc_consistency -> eff *. q
-  | Engine.Datalog_hornsat ->
-    (* grounding touches all of Dom per rule; the Section 3 translation
-       inflates |P| by a small constant *)
-    n *. q *. 2.0
-  | Engine.Datalog_fixpoint -> n *. q
-  | Engine.Cq_rewrite | Engine.Positive_rewrite ->
-    eff *. q *. Float.pow 2.0 (Float.min q 24.0)
-  | Engine.Xpath_fo2 -> n *. n *. q
+  let eff = n *. (0.25 +. (0.75 *. selectivity stats p.Engine.source)) in
+  Engine.price p
+    ~n:(if (Engine.price_row p.Engine.strategy).Engine.label_driven then eff else n)
 
 (* ------------------------------------------------------------------ *)
 (* Routing state                                                        *)
-
-(* elementary operations per second: converts seeded estimates into
-   pseudo-latencies comparable with observed seconds, and prices
-   admission control's deadline budget in the serving layer *)
-let ops_per_second = 5e7
 
 (* the plausible set: arms whose estimate is within this factor of the
    best; the rest are never explored *)
@@ -215,11 +198,11 @@ let observations t (e : entry) (a : arm) =
 
 (* an arm's current score, as (pseudo-)latency: the store's EWMA once it
    has observed the arm, the seeded estimate converted at
-   [ops_per_second] otherwise — so a store-less optimizer ranks by
-   estimate *)
+   [Engine.ops_per_second] otherwise — so a store-less optimizer ranks
+   by estimate *)
 let score t e a =
   match observations t e a with
-  | 0, _ -> a.arm_estimate /. ops_per_second
+  | 0, _ -> a.arm_estimate /. Engine.ops_per_second
   | _, l -> l
 
 (* set once every plausible arm has [trials_needed] observations; read

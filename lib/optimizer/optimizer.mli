@@ -3,10 +3,9 @@
     For each prepared plan (keyed by {!Treequery.Engine.canonical} form)
     the optimizer holds one {e arm} per strategy that can evaluate the
     query ({!Treequery.Engine.strategies}), seeded with a static cost
-    estimate: the paper's per-strategy bound shape — the same shapes
-    admission control prices with — with the data term narrowed by label
-    selectivity (rarest query-mentioned label frequency) over the
-    document's size.
+    estimate: the arm's {!Treequery.Engine.price} — the same price
+    admission control reads — with n discounted on label-driven rows by
+    label selectivity (rarest query-mentioned label frequency).
 
     The routing state a shape learns lives in one place: the
     {!Telemetry.Cost_store} given to {!create}.  A decision reads each
@@ -46,12 +45,11 @@ val selectivity : Stats.t -> Treequery.Engine.query -> float
     [1/nodes]; [1.0] when the query mentions no labels. *)
 
 val estimate : Stats.t -> Treequery.Engine.prepared -> float
-(** The seeded cost estimate for one arm, in elementary operations. *)
-
-val ops_per_second : float
-(** [5e7] elementary operations per second: converts seeded estimates
-    into pseudo-latencies comparable with observed seconds, and prices
-    the serving layer's admission budget ([deadline × ops_per_second]). *)
+(** The seeded cost estimate for one arm, in counted operations:
+    {!Treequery.Engine.price} with n replaced, on rows whose
+    [label_driven] is set, by [n × (0.25 + 0.75 × selectivity)] — a
+    discount on the shared price, not a second table.  Seeds become
+    pseudo-latencies at {!Treequery.Engine.ops_per_second}. *)
 
 type t
 

@@ -10,10 +10,12 @@
     without the driver ever sleeping.
 
     Admission control is the paper's complexity map used as a gatekeeper:
-    each prepared query carries a strategy, the strategy a naive operation
-    bound (e.g. O(n·|Q|²) for bottom-up Core XPath, exponential in |Q| for
-    the rewrite strategy); a request whose bound exceeds what the deadline
-    affords at {!Optimizer.ops_per_second} is rejected up-front with
+    each prepared plan carries a strategy, and the strategy's row of the
+    engine's price table ({!Treequery.Engine.price}) an upper bound on
+    the work the plan counts (e.g. 3·n·|Q| for bottom-up Core XPath,
+    linear in the exponential-size acyclic union for the rewrite
+    strategy); a request whose price exceeds what the deadline affords
+    at {!Treequery.Engine.ops_per_second} is rejected up-front with
     ["degraded: naive bound exceeded"] rather than allowed to blow the
     deadline for everyone queued behind it. *)
 
@@ -32,9 +34,9 @@ type config = {
   telemetry : Telemetry.Cost_store.t option;
       (** per-fingerprint cost store fed one observation per served
           request (per distinct plan in [share] mode): service latency
-          (the scope duration, not queueing), the admission bound as
-          predicted cost, and the profile counter deltas as observed
-          cost.  Residual violations (observed/predicted over the
+          (the scope duration, not queueing), the plan's price as
+          predicted cost, and the {!Treequery.Engine.work} its [exec]
+          counted as observed cost.  Residual violations (observed/predicted over the
           store's threshold) are counted in [stats] and bump
           [serve_residual_violations]. *)
   recorder : Telemetry.Flight_recorder.t option;
@@ -45,8 +47,8 @@ type config = {
       (** adaptive strategy selection: every planned request is
           re-routed through {!Optimizer.decide}, given the server's
           admission test so that it explores only arms a [deadline]
-          admits, and admission control prices the {e picked} arm's
-          bound, not the planner default's.
+          admits, and admission control prices the {e picked} arm, not
+          the planner default.
           The optimizer learns only from the observations [telemetry]
           records, so an optimizer with a store must be given that
           store as [telemetry]; a store-less one routes by its seeded
@@ -59,10 +61,9 @@ type config = {
   inject_overbudget : bool;
       (** fault injection for the telemetry smoke tests: wrap each
           admitted plan's [exec] so it bumps the [serve_injected_work]
-          counter by twice the plan's admission bound, inside the
-          request's (or, in [share] mode, the rep's) scope — every
-          served plan's observed cost provably exceeds its
-          prediction. *)
+          counter by twice the plan's price, inside the request's (or,
+          in [share] mode, the rep's) scope — every served plan's
+          observed cost provably exceeds its prediction. *)
   tick_every : float option;  (** virtual seconds between telemetry ticks *)
   on_tick : (int -> float -> unit) option;
       (** [f i vt] fires after the chunk during which virtual time
@@ -121,10 +122,6 @@ val reject_reason : string
 (** ["degraded: naive bound exceeded"] — the message attached to
     admission-control rejections. *)
 
-val naive_bound : Treequery.Engine.prepared -> Treekit.Tree.t -> float
-(** Elementary-operation estimate of running this plan on this tree,
-    from the paper's per-strategy bounds. *)
-
 type stats = {
   requests : int;
   served : int;
@@ -140,11 +137,11 @@ type stats = {
   cache : Plan_cache.stats option;
   degraded : (string * float) list;
       (** admission-control rejections in order: the plan fingerprint and
-          the operation bound it was priced at *)
+          the price it was rejected at *)
   residual_violations : int;
-      (** served requests whose observed cost exceeded their admission
-          bound by more than the cost store's threshold; 0 when no
-          [telemetry] store is configured *)
+      (** served requests whose observed cost exceeded their price by
+          more than the cost store's threshold; 0 when no [telemetry]
+          store is configured *)
 }
 
 val run :

@@ -1,6 +1,6 @@
 (** The standing-query registry: pub/sub matching of registered queries
-    against a stream of incoming documents (ROADMAP item 2 — the serving
-    model inverted).
+    against a stream of incoming documents (the serving model
+    inverted).
 
     Subscriptions are registered by integer ID and deduplicated through
     {!Treequery.Engine.canonical}: identical queries share one index

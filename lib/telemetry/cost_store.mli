@@ -1,15 +1,15 @@
 (** The per-fingerprint cost store: observed work and latency per
     (plan fingerprint × strategy), with a residual tracker comparing
-    each request's observed cost against the admission-time
-    {!Serve.Server.naive_bound} price.
+    each request's observed cost against the price admission read from
+    the engine's table ({!Treequery.Engine.price}).
 
     This is the online twin of [treequery attest]'s slope gate: attest
     verifies the paper's bounds offline by sweeping input sizes; the
     store watches the same bounds per served request, flagging any
     request whose observed/predicted operation ratio exceeds
     [threshold].  Observed cost is the sum of the request's
-    {!Obs.Scope} profile counter deltas — the same elementary-operation
-    counters the bounds are claimed against — so with observability
+    {!Obs.Scope} profile counter deltas ({!Treequery.Engine.work}) —
+    the counters the price is derived from — so with observability
     disabled the gate never fires (observed = 0).
 
     The adaptive optimizer reads {!observations} to refine its seeded
@@ -30,7 +30,7 @@ type summary = {
           are; count, mean and max are exact *)
   ewma_mean : float;  (** time-decayed latency mean (recent window) *)
   ewma_std : float;
-  predicted_total : float;  (** Σ admission bounds, elementary ops *)
+  predicted_total : float;  (** Σ admission prices, counted ops *)
   observed_total : float;  (** Σ profile counter deltas *)
   residual : float;  (** observed_total / predicted_total; 0 when unpriced *)
   max_ratio : float;  (** worst single-request observed/predicted *)

@@ -21,7 +21,7 @@ type entry = {
   attrs : (string * Obs.attr) list;
   counters : (string * int) list;  (** the request's profile counter deltas *)
   latency : float;  (** seconds *)
-  predicted : float;  (** admission bound, elementary ops; 0 when unpriced *)
+  predicted : float;  (** admission price, counted ops; 0 when unpriced *)
   observed : float;  (** Σ profile counter deltas *)
   outcome : outcome;
 }

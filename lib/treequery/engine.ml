@@ -34,13 +34,14 @@ let strategy_name = function
   | Datalog_fixpoint -> "datalog-yannakakis-fixpoint"
   | Xpath_fo2 -> "xpath-fo2"
 
+let all_strategies =
+  [
+    Xpath_bottom_up; Cq_yannakakis; Cq_arc_consistency; Cq_rewrite;
+    Datalog_hornsat; Positive_rewrite; Datalog_fixpoint; Xpath_fo2;
+  ]
+
 let strategy_of_name s =
-  List.find_opt
-    (fun st -> strategy_name st = s)
-    [
-      Xpath_bottom_up; Cq_yannakakis; Cq_arc_consistency; Cq_rewrite;
-      Datalog_hornsat; Positive_rewrite; Datalog_fixpoint; Xpath_fo2;
-    ]
+  List.find_opt (fun st -> strategy_name st = s) all_strategies
 
 let plan = function
   | Xpath_query _ -> Xpath_bottom_up
@@ -93,7 +94,80 @@ let query_size = function
     List.fold_left
       (fun a r -> a + 1 + List.length r.Mdatalog.Ast.body)
       0 p.Mdatalog.Ast.rules
-  | Axis_datalog_query p -> 1 + List.length p.Mdatalog.Axis_datalog.rules
+  | Axis_datalog_query p ->
+    List.fold_left
+      (fun a r -> a + 1 + List.length r.Mdatalog.Axis_datalog.body)
+      0 p.Mdatalog.Axis_datalog.rules
+
+(* ------------------------------------------------------------------ *)
+(* The price table: one row per strategy, read by admission control,
+   the residual, fault injection, the optimizer's seed and [explain].
+
+   A row's price, [per_unit × shape(n, |Q|)] with n = |D| and |Q| the
+   plan's size term ({!prepared}[.size]), bounds the counted work of
+   one [exec] or [exec_boolean] — the sum of the counter increments it
+   makes, including its [strategy_runs_*] bump — for n, |Q| ≥ 1.  Each
+   constant is read off the counters its evaluator bumps, not fitted;
+   the [price-covers-work] oracle checks the claim.  Shared facts:
+   an axis image ([Treekit.Axis.image]/[image_within]) counts at most
+   n [nodes_visited] plus one kernel counter; a Horn-SAT run counts
+   one [hornsat_units_derived] per derived ground head and one
+   [hornsat_unit_props] per ground body atom. *)
+
+type shape = N_Q | N2_Q | N3_Q | N2_Q2
+
+type price_row = {
+  shape : shape;
+  per_unit : int;
+  label_driven : bool;
+  citation : string;
+}
+
+let row shape per_unit label_driven citation = { shape; per_unit; label_driven; citation }
+
+let price_row = function
+  | Xpath_bottom_up ->
+    (* one axis image per location step, each step 1 in |Q|:
+       (n + 1)·|Q| + 1 ≤ 3·n·|Q| *)
+    row N_Q 3 true "O(n * |Q|): one O(n) axis image per step (Fig. 7)"
+  | Cq_yannakakis ->
+    (* a bottom-up pass: ≤ n retained nodes per variable, one semijoin
+       and one axis image per join-tree edge, (n + 2)·|Q| + 1 ≤ 4·n·|Q|;
+       an XPath path translates to s + 1 variables and s edges for its
+       s ≤ |Q| steps, (2s + 1)·n + 2s + 1 ≤ 6·n·|Q| *)
+    row N_Q 6 true "O(||A|| * |Q|): one semijoin pass per join-tree edge (Yannakakis, Prop. 4.2)"
+  | Cq_arc_consistency ->
+    (* a Boolean check visits a variable again only when its domain
+       shrinks, ≤ n + 1 visits of one axis image per incident atom end:
+       ≤ 2B(n + 1)(n + 2) + V·n; a unary query runs one check per head
+       candidate plus one: ≤ 25·n³·|Q| (B + V ≤ |Q|) *)
+    row N3_Q 25 true
+      "O(|A| * ||A|| * |Q|), ||A|| <= n^2 on the tree axes: one Boolean \
+       arc-consistency check per head candidate (Theorem 6.5)"
+  | Cq_rewrite ->
+    (* Yannakakis on each acyclic disjunct: (n + 2)·|Q'| + 1 ≤ 4·n·|Q'| *)
+    row N_Q 4 true "O(n * |Q'|), Q' the acyclic union of Theorem 5.1 (exponential in |Q|)"
+  | Datalog_hornsat ->
+    (* every rule the Section 3 translation (or TMNF) emits grounds to
+       ≤ n rules with ≤ 2 body atoms: ≤ 4n counted per rule.  A step
+       emits ≤ 7 rules (following/preceding), a qualifier ≤ 2 more plus
+       the path it wraps: ≤ 27n per unit of |Q|, plus the context rule,
+       ≤ 30·n·|Q|; TMNF turns a native rule into ≤ 5·(1 + |body|) *)
+    row N_Q 30 false "O(|P| * |Dom|): ground, then Minoux's linear Horn-SAT (Theorem 3.2)"
+  | Positive_rewrite ->
+    (* as [Cq_rewrite], over the union of every disjunct's rewrite *)
+    row N_Q 4 true
+      "O(n * |Q'|), Q' the acyclic union of the disjuncts' rewrites: \
+       O(||A||) for fixed queries (Corollary 5.2)"
+  | Datalog_fixpoint ->
+    (* ≤ 1 + n·|P| rounds (each adds a node to one of ≤ |Q|/2 heads),
+       each one Yannakakis pass per rule, ≤ 10·n·|Q|: ≤ 16·n²·|Q|² *)
+    row N2_Q2 16 false
+      "O(n^2 * |Q|^2): naive rounds of one Yannakakis pass per rule (Fig. 7 mon.datalog[X])"
+  | Xpath_fo2 ->
+    (* every subformula materialises ≤ 8·n² rows (two variables; an
+       or/not cylindrifies), the answer ≤ 2·n² more: ≤ 11·n²·|phi| *)
+    row N2_Q 11 false "O(n^2 * |phi|), phi the FO2 translation of Q (Marx; Section 4)"
 
 (* ------------------------------------------------------------------ *)
 (* Canonical forms and fingerprints (the plan-cache key).               *)
@@ -216,6 +290,12 @@ let fingerprint q =
   let lang = String.sub c 0 (String.index c '|') in
   Printf.sprintf "%s:%016Lx" lang (fnv1a64 c)
 
+let shape_to_string = function
+  | N_Q -> "n*|Q|"
+  | N2_Q -> "n^2*|Q|"
+  | N3_Q -> "n^3*|Q|"
+  | N2_Q2 -> "n^2*|Q|^2"
+
 let explain ?auto ?observed ?plan_cache query =
   let buf = Buffer.create 256 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -229,27 +309,19 @@ let explain ?auto ?observed ?plan_cache query =
        else if Xpath.Ast.is_positive p then "positive "
        else "full ")
       (if Xpath.Ast.is_forward p then "forward " else "")
-      "Core XPath";
-    pr "strategy:    %s\n" (strategy_name Xpath_bottom_up);
-    pr "bound:       O(n * |Q|) per axis image; linear data complexity (Fig. 7)\n"
+      "Core XPath"
   | Datalog_query p ->
     pr "language:    monadic datalog over tau+\n";
     pr "rules:       %d (query predicate %s)\n" (List.length p.rules) p.query;
-    pr "tmnf:        %b\n" (Mdatalog.Tmnf.is_tmnf p);
-    pr "strategy:    %s\n" (strategy_name Datalog_hornsat);
-    pr "bound:       O(|P| * |Dom|) combined complexity (Theorem 3.2)\n"
+    pr "tmnf:        %b\n" (Mdatalog.Tmnf.is_tmnf p)
   | Positive_query u ->
     pr "language:    positive FO (union of %d conjunctive queries)\n"
       (List.length u.Cqtree.Positive.disjuncts);
-    pr "arity:       %d\n" u.Cqtree.Positive.arity;
-    pr "strategy:    %s\n" (strategy_name Positive_rewrite);
-    pr "bound:       O(||A||) for fixed queries (Corollary 5.2)\n"
+    pr "arity:       %d\n" u.Cqtree.Positive.arity
   | Axis_datalog_query p ->
     pr "language:    monadic datalog over axis relations\n";
     pr "rules:       %d (query predicate %s)\n"
-      (List.length p.Mdatalog.Axis_datalog.rules) p.Mdatalog.Axis_datalog.query;
-    pr "strategy:    %s\n" (strategy_name Datalog_fixpoint);
-    pr "bound:       O(||A|| * |rule|) per pass (Section 7 remark; Fig. 7 mon.datalog[X])\n"
+      (List.length p.Mdatalog.Axis_datalog.rules) p.Mdatalog.Axis_datalog.query
   | Cq_query q ->
     pr "language:    conjunctive query\n";
     pr "query:       %s\n" (Cqtree.Query.to_string q);
@@ -264,18 +336,12 @@ let explain ?auto ?observed ?plan_cache query =
     | Some kind ->
       pr "x-property:  signature tractable w.r.t. <%s (Prop. 6.6)\n"
         (Treekit.Order.kind_name kind)
-    | None -> pr "x-property:  signature not within tau1/tau2/tau3\n");
-    let strat = plan query in
-    pr "strategy:    %s\n" (strategy_name strat);
-    pr "bound:       %s\n"
-      (match strat with
-      | Cq_yannakakis -> "O(||A|| * |Q|) (Yannakakis, Prop. 4.2)"
-      | Cq_arc_consistency -> "O(||A|| * |Q|) Boolean/unary (Theorem 6.5)"
-      | Cq_rewrite ->
-        "exponential in |Q| to rewrite (Theorem 5.1), then O(||A|| * |Q'|) per branch"
-      | Xpath_bottom_up | Datalog_hornsat | Positive_rewrite | Datalog_fixpoint
-      | Xpath_fo2 ->
-        assert false));
+    | None -> pr "x-property:  signature not within tau1/tau2/tau3\n"));
+  let strat = plan query in
+  let row = price_row strat in
+  pr "strategy:    %s\n" (strategy_name strat);
+  pr "bound:       %d*%s ops, %s\n" row.per_unit (shape_to_string row.shape)
+    row.citation;
   (* the interchangeable engines an adaptive (`Auto`) run may pick from *)
   (match strategies query with
   | [] | [ _ ] -> ()
@@ -322,18 +388,15 @@ let explain ?auto ?observed ?plan_cache query =
    chosen strategy and the plan fingerprint.  Only computed when
    observability is enabled — fingerprinting canonicalizes the query,
    which must not tax an untraced hot path. *)
-let strategy_attrs ?tree query strategy =
+let strategy_attrs tree query strategy =
   if not (Obs.enabled ()) then []
   else
     [
       ("strategy", Obs.Str (strategy_name strategy));
       ("|Q|", Obs.Int (query_size query));
       ("fingerprint", Obs.Str (fingerprint query));
+      ("|D|", Obs.Int (Tree.size tree));
     ]
-    @
-    match tree with
-    | Some t -> [ ("|D|", Obs.Int (Tree.size t)) ]
-    | None -> []
 
 (* one registered counter per strategy, bumped at every strategy-span
    entry: an [Obs.Scope] profile's counter deltas then carry the
@@ -346,137 +409,71 @@ let strategy_counter =
       ("strategy_runs_" ^ String.map (fun c -> if c = '-' then '_' else c) name)
   in
   let counters =
-    List.map
-      (fun s -> (s, counter_of (strategy_name s)))
-      [
-        Xpath_bottom_up; Cq_yannakakis; Cq_arc_consistency; Cq_rewrite;
-        Datalog_hornsat; Positive_rewrite; Datalog_fixpoint; Xpath_fo2;
-      ]
+    List.map (fun s -> (s, counter_of (strategy_name s))) all_strategies
   in
   fun strategy -> List.assq strategy counters
 
 (* one span per strategy run, so a traced evaluation shows up as
    [strategy:<name>] with the per-phase spans of the underlying
    algorithm nested below it *)
-let in_strategy_span ?tree query f =
-  let strategy = plan query in
+let in_strategy_span tree query strategy f =
   Obs.Span.with_
-    ~attrs:(strategy_attrs ?tree query strategy)
+    ~attrs:(strategy_attrs tree query strategy)
     ("strategy:" ^ strategy_name strategy)
     (fun () ->
       Obs.Counter.incr (strategy_counter strategy);
       f ())
 
-let eval_cq_with strategy q tree =
-  match strategy with
-  | Cq_yannakakis ->
-    if Cqtree.Query.is_unary q then Cqtree.Yannakakis.unary q tree
-    else
-      let sat = Cqtree.Yannakakis.boolean q tree in
-      if Cqtree.Query.is_boolean q then begin
-        let s = Nodeset.create (Tree.size tree) in
-        if sat then Nodeset.add s (Tree.root tree);
-        s
-      end
-      else begin
-        let s = Nodeset.create (Tree.size tree) in
-        List.iter (fun t -> Nodeset.add s t.(0)) (Cqtree.Yannakakis.solutions q tree);
-        s
-      end
-  | Cq_arc_consistency ->
-    if Cqtree.Query.is_boolean q then begin
+let root_if tree b =
+  let s = Nodeset.create (Tree.size tree) in
+  if b then Nodeset.add s (Tree.root tree);
+  s
+
+(* [exec] answers the first head column, so a k-ary query is evaluated
+   as its unary projection: the O(|A|^k) tuple enumeration is left to
+   {!solutions} *)
+let project q =
+  match q.Cqtree.Query.head with
+  | h :: _ :: _ -> { q with Cqtree.Query.head = [ h ] }
+  | _ -> q
+
+(* Yannakakis or arc consistency on one CQ *)
+let cq_plan strategy q =
+  let sat tree =
+    if strategy = Cq_arc_consistency then Actree.Xeval.boolean q tree = Some true
+    else Cqtree.Yannakakis.boolean q tree
+  in
+  let q1 = project q in
+  let exec tree =
+    if Cqtree.Query.is_boolean q then root_if tree (sat tree)
+    else if strategy = Cq_arc_consistency then begin
       let s = Nodeset.create (Tree.size tree) in
-      (match Actree.Xeval.boolean q tree with
-      | Some true -> Nodeset.add s (Tree.root tree)
-      | Some false | None -> ());
+      List.iter (fun t -> Nodeset.add s t.(0)) (Option.get (Actree.Xeval.solutions q1 tree));
       s
     end
+    else Cqtree.Yannakakis.unary q1 tree
+  in
+  (exec, sat)
+
+(* a union of acyclic queries (Theorem 5.1's output), each answered by
+   Yannakakis; its size term is the union's total size *)
+let union_plan ~boolean queries =
+  let sat tree = List.exists (fun q' -> Cqtree.Yannakakis.boolean q' tree) queries in
+  let exec tree =
+    if boolean then root_if tree (sat tree)
     else begin
-      match Actree.Xeval.solutions q tree with
-      | Some sols ->
-        let s = Nodeset.create (Tree.size tree) in
-        List.iter (fun t -> Nodeset.add s t.(0)) sols;
-        s
-      | None -> assert false
+      let out = Nodeset.create (Tree.size tree) in
+      List.iter (fun q' -> Nodeset.union_into out (Cqtree.Yannakakis.unary q' tree)) queries;
+      out
     end
-  | Cq_rewrite ->
-    if Cqtree.Query.is_unary q then Cqtree.Rewrite.unary q tree
-    else if Cqtree.Query.is_boolean q then begin
-      let s = Nodeset.create (Tree.size tree) in
-      if Cqtree.Rewrite.boolean q tree then Nodeset.add s (Tree.root tree);
-      s
-    end
-    else begin
-      let s = Nodeset.create (Tree.size tree) in
-      List.iter (fun t -> Nodeset.add s t.(0)) (Cqtree.Rewrite.solutions q tree);
-      s
-    end
-  | Xpath_bottom_up | Datalog_hornsat | Positive_rewrite | Datalog_fixpoint
-  | Xpath_fo2 ->
-    assert false
+  in
+  (List.fold_left (fun a q' -> a + query_size (Cq_query q')) 0 queries, exec, sat)
 
-let eval_cq q tree = eval_cq_with (plan (Cq_query q)) q tree
-
-(* unwrapped body shared by [eval] and the non-CQ fall-through branches
-   of [eval_boolean]/[solutions], so a run opens exactly one strategy
-   span *)
-let eval_inner query tree =
-  match query with
-  | Xpath_query p -> Xpath.Eval.query tree p
-  | Datalog_query p -> Mdatalog.Eval.run p tree
-  | Axis_datalog_query p -> Mdatalog.Axis_datalog.run p tree
-  | Positive_query u ->
-    if u.Cqtree.Positive.arity = 1 then Cqtree.Positive.unary u tree
-    else begin
-      let s = Nodeset.create (Tree.size tree) in
-      if u.Cqtree.Positive.arity = 0 then begin
-        if Cqtree.Positive.boolean u tree then Nodeset.add s (Tree.root tree)
-      end
-      else
-        List.iter (fun t -> Nodeset.add s t.(0)) (Cqtree.Positive.solutions u tree);
-      s
-    end
-  | Cq_query q -> eval_cq q tree
-
-let eval query tree = in_strategy_span ~tree query (fun () -> eval_inner query tree)
-
-let boolean_cq_with strategy q tree =
-  match strategy with
-  | Cq_yannakakis -> Cqtree.Yannakakis.boolean q tree
-  | Cq_arc_consistency -> (
-    match Actree.Xeval.boolean q tree with Some b -> b | None -> assert false)
-  | Cq_rewrite -> Cqtree.Rewrite.boolean q tree
-  | Xpath_bottom_up | Datalog_hornsat | Positive_rewrite | Datalog_fixpoint
-  | Xpath_fo2 ->
-    assert false
-
-let eval_boolean query tree =
-  in_strategy_span ~tree query @@ fun () ->
-  match query with
-  | Cq_query q -> boolean_cq_with (plan query) q tree
-  | Positive_query u -> Cqtree.Positive.boolean u tree
-  | Xpath_query _ | Datalog_query _ | Axis_datalog_query _ ->
-    not (Nodeset.is_empty (eval_inner query tree))
-
-let solutions query tree =
-  in_strategy_span ~tree query @@ fun () ->
-  match query with
-  | Cq_query q -> (
-    match plan query with
-    | Cq_yannakakis -> Cqtree.Yannakakis.solutions q tree
-    | Cq_arc_consistency -> (
-      match Actree.Xeval.solutions q tree with Some s -> s | None -> assert false)
-    | Cq_rewrite -> Cqtree.Rewrite.solutions q tree
-    | Xpath_bottom_up | Datalog_hornsat | Positive_rewrite | Datalog_fixpoint
-    | Xpath_fo2 ->
-      assert false)
-  | Positive_query u -> Cqtree.Positive.solutions u tree
-  | Xpath_query _ | Datalog_query _ | Axis_datalog_query _ ->
-    List.map (fun v -> [| v |]) (Nodeset.elements (eval_inner query tree))
+let rewritten q = (Cqtree.Rewrite.rewrite (project q)).Cqtree.Rewrite.queries
 
 (* ------------------------------------------------------------------ *)
 (* Prepared plans: the planning decision — and, for the rewrite
-   strategy, the exponential-in-|Q| union of acyclic queries — is
+   strategies, the exponential-in-|Q| union of acyclic queries — is
    computed once, so a cached plan pays only evaluation on reuse. *)
 
 type prepared = {
@@ -484,80 +481,56 @@ type prepared = {
   strategy : strategy;
   canon : string;
   fp : string;
+  size : int;
   exec : Tree.t -> Nodeset.t;
   exec_boolean : Tree.t -> bool;
 }
+
+(* the plan's size term and its unwrapped [exec] / [exec_boolean] *)
+let compile strategy query =
+  let sized exec = (query_size query, exec, fun tree -> not (Nodeset.is_empty (exec tree))) in
+  match (query, strategy) with
+  | Cq_query q, Cq_rewrite -> union_plan ~boolean:(Cqtree.Query.is_boolean q) (rewritten q)
+  | Cq_query q, _ ->
+    let exec, sat = cq_plan strategy q in
+    (query_size query, exec, sat)
+  | Positive_query u, _ ->
+    union_plan ~boolean:(u.Cqtree.Positive.arity = 0)
+      (List.concat_map rewritten u.Cqtree.Positive.disjuncts)
+  | Xpath_query p, Xpath_bottom_up -> sized (fun tree -> Xpath.Eval.query tree p)
+  | Xpath_query p, Cq_yannakakis ->
+    (* conjunctive path → acyclic CQ (Prop. 4.2): [strategies] only
+       offers this arm when the translation exists *)
+    let exec, sat = cq_plan Cq_yannakakis (Option.get (Xpath.To_cq.to_query p)) in
+    (query_size query, exec, sat)
+  | Xpath_query p, Datalog_hornsat -> sized (fun tree -> Xpath.To_datalog.eval_via_datalog tree p)
+  | Xpath_query p, _ ->
+    (* the FO² arm: translate once (Marx); evaluation is the naive
+       O(n²·|phi|) pass, so the size term is the formula's *)
+    let phi = Folang.Of_xpath.unary p and psi = Folang.Of_xpath.boolean p in
+    ( Folang.Formula.size psi,
+      (fun tree -> Folang.Eval.unary tree phi),
+      fun tree -> Folang.Eval.holds tree psi )
+  | Datalog_query p, _ ->
+    (* Theorem 3.2's linear grounding is for TMNF programs; a
+       malformed program is left for [Eval.run] to reject *)
+    let p = if Mdatalog.Ast.check p = Ok () then Mdatalog.Tmnf.of_program p else p in
+    sized (Mdatalog.Eval.run p)
+  | Axis_datalog_query p, _ -> sized (Mdatalog.Axis_datalog.run p)
 
 let prepare_with strategy query =
   if not (List.mem strategy (strategies query)) then
     invalid_arg
       (Printf.sprintf "Engine.prepare_with: %s cannot evaluate %s"
          (strategy_name strategy) (fingerprint query));
-  let span f tree =
-    Obs.Span.with_
-      ~attrs:(strategy_attrs ~tree query strategy)
-      ("strategy:" ^ strategy_name strategy)
-      (fun () ->
-        Obs.Counter.incr (strategy_counter strategy);
-        f tree)
-  in
-  let exec, exec_boolean =
-    match (query, strategy) with
-    | Cq_query q, Cq_rewrite ->
-      let { Cqtree.Rewrite.queries; _ } = Cqtree.Rewrite.rewrite q in
-      let sat tree = List.exists (fun q' -> Cqtree.Yannakakis.boolean q' tree) queries in
-      let exec tree =
-        if Cqtree.Query.is_unary q then begin
-          let out = Nodeset.create (Tree.size tree) in
-          List.iter
-            (fun q' -> Nodeset.union_into out (Cqtree.Yannakakis.unary q' tree))
-            queries;
-          out
-        end
-        else begin
-          let s = Nodeset.create (Tree.size tree) in
-          if Cqtree.Query.is_boolean q then begin
-            if sat tree then Nodeset.add s (Tree.root tree)
-          end
-          else
-            List.iter
-              (fun q' ->
-                List.iter
-                  (fun t -> Nodeset.add s t.(0))
-                  (Cqtree.Yannakakis.solutions q' tree))
-              queries;
-          s
-        end
-      in
-      (exec, sat)
-    | Cq_query q, _ -> (eval_cq_with strategy q, boolean_cq_with strategy q)
-    | Xpath_query p, Cq_yannakakis ->
-      (* conjunctive path → acyclic CQ (Prop. 4.2): [strategies] only
-         offers this arm when the translation exists *)
-      let cq =
-        match Xpath.To_cq.to_query p with Some cq -> cq | None -> assert false
-      in
-      (eval_cq_with Cq_yannakakis cq, boolean_cq_with Cq_yannakakis cq)
-    | Xpath_query p, Datalog_hornsat ->
-      let exec tree = Xpath.To_datalog.eval_via_datalog tree p in
-      (exec, fun tree -> not (Nodeset.is_empty (exec tree)))
-    | Xpath_query p, Xpath_fo2 ->
-      (* translate once at prepare time (linear, Marx); evaluation is the
-         O(n²·|Q|) naive FO² pass *)
-      let phi = Folang.Of_xpath.unary p in
-      let psi = Folang.Of_xpath.boolean p in
-      ( (fun tree -> Folang.Eval.unary tree phi),
-        fun tree -> Folang.Eval.holds tree psi )
-    | Positive_query u, _ -> (eval_inner query, Cqtree.Positive.boolean u)
-    | (Xpath_query _ | Datalog_query _ | Axis_datalog_query _), _ ->
-      ( eval_inner query,
-        fun tree -> not (Nodeset.is_empty (eval_inner query tree)) )
-  in
+  let size, exec, exec_boolean = compile strategy query in
+  let span f tree = in_strategy_span tree query strategy (fun () -> f tree) in
   {
     source = query;
     strategy;
     canon = canonical query;
     fp = fingerprint query;
+    size;
     exec = span exec;
     exec_boolean = span exec_boolean;
   }
@@ -565,3 +538,50 @@ let prepare_with strategy query =
 let prepare query = prepare_with (plan query) query
 
 let with_exec p exec = { p with exec }
+
+(* [prepare]'s plan, without the canonical form a one-off run has no use for *)
+let eval query tree =
+  let strategy = plan query in
+  let _, exec, _ = compile strategy query in
+  in_strategy_span tree query strategy (fun () -> exec tree)
+
+let eval_boolean query tree =
+  let strategy = plan query in
+  let _, _, exec_boolean = compile strategy query in
+  in_strategy_span tree query strategy (fun () -> exec_boolean tree)
+
+let solutions query tree =
+  match query with
+  | Cq_query q ->
+    let strategy = plan query in
+    in_strategy_span tree query strategy @@ fun () ->
+    (match strategy with
+    | Cq_yannakakis -> Cqtree.Yannakakis.solutions q tree
+    | Cq_arc_consistency -> Option.get (Actree.Xeval.solutions q tree)
+    | _ -> Cqtree.Rewrite.solutions q tree)
+  | Positive_query u ->
+    in_strategy_span tree query Positive_rewrite @@ fun () ->
+    Cqtree.Positive.solutions u tree
+  | Xpath_query _ | Datalog_query _ | Axis_datalog_query _ ->
+    List.map (fun v -> [| v |]) (Nodeset.elements (eval query tree))
+
+(* ------------------------------------------------------------------ *)
+(* Pricing *)
+
+let ops_per_second = 5e7
+
+let price (p : prepared) ~n =
+  let row = price_row p.strategy in
+  let n = Float.max 1.0 n and q = float_of_int (max 1 p.size) in
+  float_of_int row.per_unit
+  *.
+  match row.shape with
+  | N_Q -> n *. q
+  | N2_Q -> n *. n *. q
+  | N3_Q -> n *. n *. n *. q
+  | N2_Q2 -> n *. n *. q *. q
+
+let work (profile : Obs.profile) =
+  List.fold_left
+    (fun acc (_, d) -> if d > 0 then acc + d else acc)
+    0 profile.Obs.profile_counters

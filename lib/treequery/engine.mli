@@ -13,9 +13,10 @@
       NP-complete, so some exponential in |Q| is unavoidable unless
       P = NP.
 
-    Core XPath uses the set-at-a-time bottom-up evaluator (O(n·|Q|²)
-    overall; O(n·|Q|) per axis image); monadic datalog grounds to Horn-SAT
-    (Theorem 3.2). *)
+    Core XPath uses the set-at-a-time bottom-up evaluator (one O(n) axis
+    image per step, O(n·|Q|) overall); monadic datalog grounds to
+    Horn-SAT (Theorem 3.2).  {!price_row} writes each strategy's bound
+    down once, for admission control, routing and {!explain}. *)
 
 type query =
   | Xpath_query of Xpath.Ast.path
@@ -30,14 +31,15 @@ val parse_xpath : string -> query
 (** @raise Treekit.Parse_error.Error with the offending token's offset *)
 
 val parse_cq : string -> query
-(** @raise Failure *)
+(** @raise Treekit.Parse_error.Error with the offending token's offset *)
 
 val parse_datalog : string -> query
-(** @raise Mdatalog.Parser.Syntax_error *)
+(** @raise Treekit.Parse_error.Error with the offending token's offset *)
 
 val parse_positive : string list -> query
 (** One conjunctive query per string; their union.
-    @raise Failure @raise Invalid_argument *)
+    @raise Treekit.Parse_error.Error with the offset into the failing
+    disjunct, which the message names @raise Invalid_argument *)
 
 val parse_axis_datalog : string -> query
 (** @raise Treekit.Parse_error.Error with the offending statement's
@@ -56,6 +58,9 @@ type strategy =
           in linear time, evaluate naively in O(n²·|Q|).  Never the
           planner default — an optimizer arm that only wins on small
           documents. *)
+
+val all_strategies : strategy list
+(** Every strategy, in declaration order. *)
 
 val strategy_name : strategy -> string
 
@@ -76,9 +81,31 @@ val strategies : query -> strategy list
 
 val query_size : query -> int
 (** The |Q| term of the paper's bounds: syntactic size of the query
-    (steps + qualifiers for XPath, atoms + variables for CQs, atoms over
-    all rules for datalog).  Used by the serving layer's admission
-    control and by span attributes. *)
+    (steps + qualifiers for XPath, atoms + variables for CQs, heads and
+    body atoms over all rules for datalog), which {!price} charges. *)
+
+(** {1 The price table}
+
+    Per strategy, the shape of the paper's bound in n = |D| and |Q| and a
+    constant read off the counters its evaluator bumps, so that
+    [per_unit × shape] bounds the {!work} of one run for n, |Q| ≥ 1.
+    Admission, the residual, the optimizer's seed and {!explain} read it;
+    the [price-covers-work] oracle checks it. *)
+
+type shape =
+  | N_Q  (** n·|Q| *)
+  | N2_Q  (** n²·|Q| *)
+  | N3_Q  (** n³·|Q| *)
+  | N2_Q2  (** n²·|Q|² *)
+
+type price_row = {
+  shape : shape;
+  per_unit : int;
+  label_driven : bool;  (** passes start from label occurrence sets *)
+  citation : string;  (** the bound and where the paper proves it *)
+}
+
+val price_row : strategy -> price_row
 
 (** {1 Canonical forms and fingerprints}
 
@@ -110,14 +137,19 @@ type prepared = private {
   strategy : strategy;
   canon : string;  (** {!canonical} of [source] *)
   fp : string;  (** {!fingerprint} of [source] *)
+  size : int;
+      (** the |Q| term of the plan's {!price}: {!query_size} of [source],
+          or the size of what a rewrite (the acyclic union) or FO² (the
+          formula) arm evaluates *)
   exec : Treekit.Tree.t -> Treekit.Nodeset.t;
   exec_boolean : Treekit.Tree.t -> bool;
 }
-(** A query with its planning decisions (and, for the rewrite strategy,
+(** A query with its planning decisions (and, for the rewrite strategies,
     the exponential-in-|Q| union of acyclic queries) computed once, so a
-    cached plan pays only evaluation on reuse.  [exec]/[exec_boolean]
-    agree with {!eval}/{!eval_boolean} (property-tested by the
-    [plan-cache] differential oracle). *)
+    cached plan pays only evaluation on reuse.  [exec] answers the first
+    head column: a k-ary conjunctive query is evaluated as its unary
+    projection.  [exec]/[exec_boolean] agree with {!eval}/{!eval_boolean}
+    (property-tested by the [plan-cache] differential oracle). *)
 
 val prepare : query -> prepared
 (** Plan and compile once.  Raises whatever {!plan} would on malformed
@@ -136,6 +168,18 @@ val with_exec : prepared -> (Treekit.Tree.t -> Treekit.Nodeset.t) -> prepared
 (** The same plan, executing [exec] instead — the hook serving-layer
     fault injection uses to burn extra work inside a plan's execution. *)
 
+val price : prepared -> n:float -> float
+(** [per_unit × shape(n, size)], n and [size] clamped to at least 1: a
+    bound on the {!work} of one [exec] or [exec_boolean] on n nodes. *)
+
+val ops_per_second : float
+(** [5e7]: admission's budget is [deadline × ops_per_second], and seeds
+    become pseudo-latencies at this rate. *)
+
+val work : Obs.profile -> int
+(** Counted work of a scoped region: the sum of its profile's positive
+    counter deltas, the quantity {!price} bounds. *)
+
 val explain :
   ?auto:strategy * string ->
   ?observed:Obs.Report.t ->
@@ -144,8 +188,8 @@ val explain :
   string
 (** A human-readable account of the plan: language, fragment properties
     (conjunctive/positive/forward, acyclicity, signature class, estimated
-    tree-width), chosen strategy, the complexity bound the paper gives
-    for it, the candidate strategy set ({!strategies}, when more than
+    tree-width), chosen strategy, its {!price_row} (price shape and
+    citation), the candidate strategy set ({!strategies}, when more than
     one), and the query's {!fingerprint}.  [auto] (supplied by the
     adaptive optimizer) adds an "auto-pick:" line reporting the picked
     strategy and why.  [plan_cache] (supplied by the
@@ -156,10 +200,10 @@ val explain :
     done. *)
 
 val eval : query -> Treekit.Tree.t -> Treekit.Nodeset.t
-(** Unary evaluation.  A Boolean conjunctive query returns [{root}] when
-    satisfied and [{}] otherwise; a k-ary (k ≥ 2) conjunctive query
-    returns the set of nodes in its first head column (use {!solutions}
-    for the tuples).
+(** Unary evaluation: {!prepare}'s [exec].  A Boolean conjunctive query
+    returns [{root}] when satisfied and [{}] otherwise; a k-ary (k ≥ 2)
+    conjunctive query returns the set of nodes in its first head column
+    (use {!solutions} for the tuples).
     @raise Invalid_argument on malformed queries *)
 
 val eval_boolean : query -> Treekit.Tree.t -> bool

@@ -129,6 +129,18 @@ let bad_serve_flags =
     ([ "--residual-threshold=0" ], "--residual-threshold must be > 0");
   ]
 
+(* every query language fails with the shared positioned error: the
+   CLI prints the offset into the query text (for a positive query,
+   into the failing disjunct, which the message names) *)
+let bad_query_texts =
+  [
+    ("datalog", [ "--datalog"; "p(X) :- " ], "at offset 8: expected a predicate name");
+    ("cq", [ "--cq"; "q(X) :- child(X, Y" ], "at offset 18: expected ')'");
+    ( "positive",
+      [ "--positive"; {|q(X) :- lab(X, "a").|}; "--positive"; "q(X) :- sideways(X, Y)." ],
+      "at offset 8: disjunct 2: unknown axis sideways" );
+  ]
+
 let suite =
   [
     Alcotest.test_case "serve --domains 0 fails cleanly" `Quick
@@ -157,3 +169,11 @@ let suite =
               ~cmd:(fun rest -> [ "serve"; "--random"; "50" ] @ rest)
               name args ~expect_msg))
       bad_serve_flags
+  @ List.map
+      (fun (lang, args, expect_msg) ->
+        Alcotest.test_case ("eval " ^ lang ^ " parse error is positioned") `Quick
+          (fun () ->
+            check_rejects
+              ~cmd:(fun rest -> [ "eval"; "--random"; "10" ] @ rest)
+              lang args ~expect_msg))
+      bad_query_texts

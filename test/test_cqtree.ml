@@ -39,10 +39,17 @@ let test_parse_roundtrip () =
   Alcotest.(check bool) "roundtrip" true (Q.of_string (Q.to_string q) = q)
 
 let test_parse_errors () =
-  let bad s = match Q.of_string s with exception Failure _ -> true | _ -> false in
-  Alcotest.(check bool) "unknown axis" true (bad {| q(X) :- sideways(X, Y). |});
-  Alcotest.(check bool) "unsafe head" true (bad {| q(Z) :- lab(X, "a"). |});
-  Alcotest.(check bool) "lab misuse" true (bad {| q(X) :- lab(X). |})
+  (* the shared positioned error, at the offending token's offset *)
+  let error_at what s expected =
+    match Q.of_string s with
+    | exception Treekit.Parse_error.Error { pos; _ } ->
+      Alcotest.(check int) what expected pos
+    | _ -> Alcotest.failf "%s: parsed" what
+  in
+  error_at "unknown axis" "q(X) :- sideways(X, Y)." 8;
+  error_at "unsafe head" {|q(Z) :- lab(X, "a").|} 0;
+  error_at "lab misuse" "q(X) :- lab(X)." 8;
+  error_at "missing paren" "q(X) :- child(X, Y." 18
 
 let test_normalize_forward () =
   let q = Q.of_string {| q(X) :- parent(X, Y), self(Y, Z), lab(Z, "a"). |} in

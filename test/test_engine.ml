@@ -103,6 +103,91 @@ let test_yannakakis_semijoin_count () =
     true
     (passes > 0 && passes <= 2 * atoms)
 
+(* the work [exec] counts, in a private shard so no counters or spans
+   outlive the measurement *)
+let counted_work run =
+  Obs.with_enabled true @@ fun () ->
+  Obs.Shard.run (Obs.Shard.create ()) @@ fun () ->
+  E.work (snd (Obs.Scope.collect "work" run))
+
+(* [exec] answers the first head column of a k-ary CQ by evaluating the
+   unary projection, not by enumerating every tuple first: answers
+   agree with the tuples' first components, and every CQ arm counts
+   exactly the projection's work *)
+let test_kary_exec_is_the_projection () =
+  let q = Cqtree.Query.of_string {| q(X, Y) :- following(X, Y), lab(Y, "a"). |} in
+  let proj = { q with Cqtree.Query.head = [ "X" ] } in
+  List.iter
+    (fun n ->
+      let t = Generator.random ~seed:3 ~n ~labels:[| "a"; "b" |] () in
+      let firsts =
+        Nodeset.of_list n
+          (List.map (fun tup -> tup.(0)) (E.solutions (E.Cq_query q) t))
+      in
+      List.iter
+        (fun s ->
+          let name = Printf.sprintf "%s, n = %d" (E.strategy_name s) n in
+          let p = E.prepare_with s (E.Cq_query q)
+          and pp = E.prepare_with s (E.Cq_query proj) in
+          check_nodeset (name ^ ": answers") firsts (p.E.exec t);
+          Alcotest.(check int) (name ^ ": work of the projection")
+            (counted_work (fun () -> pp.E.exec t))
+            (counted_work (fun () -> p.E.exec t)))
+        (E.strategies (E.Cq_query q)))
+    [ 100; 200; 400 ]
+
+(* The price table covers the languages the [price-covers-work] oracle
+   does not generate: native datalog (via TMNF), positive unions and
+   axis datalog each count no more work than their price *)
+let test_price_covers_other_languages () =
+  let positive seed =
+    let mk seed =
+      Cqtree.Generator.arbitrary ~seed ~nvars:3 ~natoms:3
+        ~axes:[ Axis.Child; Axis.Descendant; Axis.Following; Axis.Parent ]
+        ~labels:Generator.labels_abc ()
+    in
+    E.Positive_query (Cqtree.Positive.make [ mk seed; mk (seed + 1) ])
+  in
+  let queries =
+    [
+      E.Datalog_query (Mdatalog.Examples.has_ancestor_labeled "a");
+      E.Datalog_query (Mdatalog.Examples.has_ancestor_labeled "c");
+      E.parse_positive [ {| q(X) :- lab(X, "c"). |}; {| q(X) :- lab(X, "d"). |} ];
+      E.parse_positive [ {| q :- lab(X, "z1"). |}; {| q :- lab(X, "z2"). |} ];
+      positive 1; positive 7; positive 42;
+      E.parse_axis_datalog
+        {| even(X) :- root(X).
+           odd(Y) :- even(X), child(X, Y).
+           even(Y) :- odd(X), child(X, Y).
+           ?- even. |};
+      E.parse_axis_datalog
+        {| reach(X) :- root(X).
+           reach(Y) :- reach(X), child(X, Y), lab(Y, "a").
+           ?- reach. |};
+    ]
+  in
+  List.iter
+    (fun n ->
+      let t = random_tree ~seed:n ~n () in
+      List.iter
+        (fun q ->
+          let p = E.prepare q in
+          let price = E.price p ~n:(float_of_int n) in
+          List.iter
+            (fun (what, run) ->
+              let w = counted_work run in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s, n = %d: %d <= %.0f" (E.fingerprint q) what n w
+                   price)
+                true
+                (float_of_int w <= price))
+            [
+              ("exec", fun () -> ignore (p.E.exec t));
+              ("exec_boolean", fun () -> ignore (p.E.exec_boolean t));
+            ])
+        queries)
+    [ 1; 2; 3; 5; 8; 13; 21; 40; 100; 200 ]
+
 let strategies_gen =
   QCheck2.Gen.(
     let* qseed = int_range 0 100_000 in
@@ -140,6 +225,10 @@ let suite =
       test_positive_and_axis_datalog;
     Alcotest.test_case "yannakakis semijoin-pass count" `Quick
       test_yannakakis_semijoin_count;
+    Alcotest.test_case "k-ary exec evaluates the unary projection" `Quick
+      test_kary_exec_is_the_projection;
+    Alcotest.test_case "price covers datalog, positive and axis datalog" `Quick
+      test_price_covers_other_languages;
     prop_engine_equals_naive;
     prop_engine_boolean;
   ]

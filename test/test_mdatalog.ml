@@ -25,13 +25,18 @@ let test_parser_roundtrip () =
   Alcotest.(check bool) "roundtrip" true (p = p2)
 
 let test_parser_errors () =
-  let bad input =
-    match parse input with exception D.Parser.Syntax_error _ -> true | _ -> false
+  (* the shared positioned error, at the offending token's offset *)
+  let error_at what input expected =
+    match parse input with
+    | exception Treekit.Parse_error.Error { pos; _ } ->
+      Alcotest.(check int) what expected pos
+    | _ -> Alcotest.failf "%s: parsed" what
   in
-  Alcotest.(check bool) "missing query" true (bad {| p(X) :- root(X). |});
-  Alcotest.(check bool) "binary as unary" true (bad {| p(X) :- firstchild(X). ?- p. |});
-  Alcotest.(check bool) "head not intensional" true (bad {| root(X) :- leaf(X). ?- root. |});
-  Alcotest.(check bool) "lab without label" true (bad {| p(X) :- lab(X). ?- p. |})
+  error_at "missing query" "p(X) :- root(X). " 17;
+  error_at "binary as unary" "p(X) :- firstchild(X). ?- p." 8;
+  error_at "head not intensional" "root(X) :- leaf(X). ?- root." 0;
+  error_at "lab without label" "p(X) :- lab(X). ?- p." 8;
+  error_at "dangling body" "p(X) :- " 8
 
 let test_check_rejects () =
   let unsafe =
