@@ -170,8 +170,8 @@ let index_arm pats docs =
     (fun i p -> ignore (Index.register idx ~id:i (Engine.Xpath_query (PP.to_xpath p))))
     pats;
   let sess = Index.session idx in
-  (* session refresh and trie-pass array growth happen once per churn,
-     not per document: keep them out of the counted pass *)
+  (* the passes' array growth happens once per churn, not per
+     document: keep it out of the counted pass *)
   ignore (Index.match_tree sess docs.(0));
   let fired = Array.make (Array.length docs) [] in
   let counters, () =

@@ -213,15 +213,38 @@ let latency_sample _cfg rng =
   in
   Case.Latency_sample xs
 
-(* standing-query scripts: a churn of registrations (across all four
-   index classes — spines, twigs via qualified XPath, general CQs,
-   automata), unregistrations of earlier script positions, and match
-   points.  Always ends on a match so every script exercises the index;
-   unregistrations between matches exercise churn mid-stream. *)
+(* a chain for the standing index's chain bank: 1–3 atoms over child,
+   descendant and following, a quarter written as the inverse atom;
+   labels from the alphabet, a quarter of the variables unlabeled (so
+   X0 matches the root, among other nodes) *)
+let chain cfg rng =
+  let var i = Printf.sprintf "X%d" i in
+  let test i =
+    if Random.State.int rng 4 = 0 then []
+    else
+      let l = cfg.labels.(Random.State.int rng (Array.length cfg.labels)) in
+      [ Cqtree.Query.U (Cqtree.Query.Lab l, var i) ]
+  in
+  let step i =
+    let axis = pick rng [ Axis.Child; Axis.Descendant; Axis.Following ] in
+    if Random.State.int rng 4 = 0 then Cqtree.Query.A (Axis.inverse axis, var i, var (i - 1))
+    else Cqtree.Query.A (axis, var (i - 1), var i)
+  in
+  let k = 1 + Random.State.int rng 3 in
+  let atoms = test 0 @ List.concat (List.init k (fun i -> step (i + 1) :: test (i + 1))) in
+  let head = if Random.State.bool rng then [] else [ var (Random.State.int rng (k + 1)) ] in
+  Case.Cq { Cqtree.Query.head; atoms }
+
+(* standing-query scripts: a churn of registrations (across all five
+   index classes — spines, twigs via qualified XPath, chain CQs, other
+   CQs and XPath for the general plans, automata), unregistrations of
+   earlier script positions, and match points.  Always ends on a match
+   so every script exercises the index; unregistrations between matches
+   exercise churn mid-stream. *)
 let standing cfg rng =
   let registered q = Case.S_register q in
   let gen_registration () =
-    match Random.State.int rng 5 with
+    match Random.State.int rng 7 with
     | 0 -> registered (pattern cfg rng)
     | 1 | 2 ->
       registered
@@ -229,6 +252,7 @@ let standing cfg rng =
            ~axes:[ Axis.Child; Axis.Descendant; Axis.Descendant_or_self ]
            ~allow_negation:false ~allow_union:false cfg rng)
     | 3 -> registered (xpath cfg rng)
+    | 4 | 5 -> registered (chain cfg rng)
     | _ -> if Random.State.bool rng then registered (cq_arbitrary cfg rng)
            else registered (auto cfg rng)
   in

@@ -64,9 +64,13 @@ val setops : config -> Random.State.t -> Case.query
 
 val standing : config -> Random.State.t -> Case.query
 (** A standing-query script of 3–9 operations: registrations drawn
-    across all four index classes (path spines, qualified forward XPath,
-    general XPath, CQs, composed automata), unregistrations of earlier
-    script positions, match points; always ends on a match. *)
+    across all five index classes (path spines, qualified forward XPath,
+    general XPath, chain CQs, arbitrary CQs, composed automata),
+    unregistrations of earlier script positions, match points; always
+    ends on a match.  A chain CQ has 1–3 atoms over [child],
+    [descendant] and [following] (a quarter written as the inverse
+    atom), labels from the alphabet and a quarter of its variables
+    unlabeled. *)
 
 val obs_report : config -> Random.State.t -> Case.query
 (** A synthetic {!Obs.Report.t}: nested spans with typed attributes,

@@ -31,6 +31,7 @@ type discrepancy = {
   case_index : int;
   seed : int;
   message : string;
+  original_message : string;
   original_size : int;
   shrunk : Case.t;
   shrink_steps : int;
@@ -84,12 +85,17 @@ let run cfg =
            | Oracles.Skip _ ->
              Obs.Counter.incr c_skips;
              incr skips
-           | Oracles.Fail message ->
+           | Oracles.Fail original_message ->
              Obs.Counter.incr c_discrepancies;
              incr fails;
              incr failures;
              let shrunk, shrink_steps = shrink cfg o c in
              Obs.Counter.add c_shrink_steps shrink_steps;
+             (* the report prints the shrunk case, so its numbers come
+                from a run on that case *)
+             let message =
+               match run_case o shrunk with Oracles.Fail m -> m | _ -> original_message
+             in
              discrepancies :=
                {
                  oracle_name = o.Oracles.name;
@@ -97,6 +103,7 @@ let run cfg =
                  case_index = k;
                  seed = cfg.seed;
                  message;
+                 original_message;
                  original_size = Case.size c;
                  shrunk;
                  shrink_steps;
@@ -139,10 +146,10 @@ let to_text st =
       (fun d ->
         Buffer.add_string b
           (Printf.sprintf
-             "\n[%s] case %d: %s\n  guards: %s\n  %s (original size %d, %d \
-              shrink steps)\n  repro: treequery check --seed %d --from %d \
+             "\n[%s] case %d: %s\n  original case: %s\n  guards: %s\n  %s (original size %d, \
+              %d shrink steps)\n  repro: treequery check --seed %d --from %d \
               --cases 1 --oracles %s\n"
-             d.oracle_name d.case_index d.message d.theorem
+             d.oracle_name d.case_index d.message d.original_message d.theorem
              (String.concat "\n  " (String.split_on_char '\n' (Case.to_string d.shrunk)))
              d.original_size d.shrink_steps d.seed d.case_index d.oracle_name))
       ds);

@@ -32,7 +32,8 @@ type discrepancy = {
   theorem : string;
   case_index : int;
   seed : int;
-  message : string;  (** the oracle's disagreement, from the original case *)
+  message : string;  (** the oracle's disagreement on the shrunk case *)
+  original_message : string;  (** its disagreement on the case as generated *)
   original_size : int;
   shrunk : Case.t;
   shrink_steps : int;
@@ -51,4 +52,5 @@ val discrepancy_count : stats -> int
 
 val to_text : stats -> string
 (** Human-readable report: a per-oracle table, then one block per
-    discrepancy with the shrunk case and its repro line. *)
+    discrepancy: the shrunk case's message, the original case's message,
+    the shrunk case and its repro line. *)

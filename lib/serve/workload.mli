@@ -11,6 +11,10 @@ type shape = {
   query : Treequery.Engine.query;
 }
 
+val gen_cq : Random.State.t -> string
+(** The text of one conjunctive shape: a chain of 2–3 label-tested
+    variables joined by [child], [descendant] or [following] atoms. *)
+
 val shapes : rng:Random.State.t -> count:int -> shape array
 (** [count] query shapes with pairwise-distinct canonical forms: a mix of
     Core XPath path expressions (child/descendant chains with qualifiers,

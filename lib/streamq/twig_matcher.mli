@@ -35,20 +35,46 @@ val feed :
   ?anchored:bool -> Actree.Twigjoin.node -> (Treekit.Event.t -> unit) * (unit -> stats)
 (** Incremental interface for external event sources. *)
 
-(** {1 Reusable banks}
+(** {1 Banks and passes}
 
-    Compilation is paid once at [create]; [reset] + [push] then match any
-    number of documents with no further allocation (the standing-query
-    index keeps one bank per session).  [reset] restores exactly the
-    post-[create] state, also after a truncated stream (property-tested). *)
+    A {!bank} holds the compiled patterns, one slot each: {!add} and
+    {!remove} patch it in time proportional to the pattern (slot reuse,
+    per-label lists), so a standing-query index keeps one bank for its
+    whole life.  A pass ({!t}) holds only the per-document working arrays
+    over a bank.  [reset] + [push] match any number of documents with no
+    further allocation; [reset] restores exactly the state of a fresh
+    {!pass}, also after a truncated stream (property-tested), and grows
+    the arrays when the bank has handed out slots the pass has not seen.
+    A bank must not change while one of its passes is inside a
+    document. *)
+
+type bank
+
+val bank : ?anchored:bool -> unit -> bank
+(** An empty bank.  With [~anchored:true] every pattern root may only
+    match the document root. *)
+
+val add : bank -> Actree.Twigjoin.node -> int
+(** Compile a pattern into a free slot and return the slot.
+    @raise Invalid_argument on a pattern with more than {!max_nodes}
+    nodes. *)
+
+val remove : bank -> int -> unit
+(** Free a slot for the next {!add}.
+    @raise Invalid_argument on a slot that holds no pattern. *)
+
+val live : bank -> int
+(** Patterns in the bank. *)
 
 type t
-(** A bank of twig patterns, numbered by their position in the array
-    given to {!create}; reusable across documents. *)
+(** A pass over a bank: the per-document working state. *)
+
+val pass : bank -> t
 
 val create : ?anchored:bool -> Actree.Twigjoin.node array -> t
-(** @raise Invalid_argument on a pattern with more than {!max_nodes}
-    nodes. *)
+(** A pass over a fresh bank holding the patterns, pattern [j] in slot
+    [j].  @raise Invalid_argument on a pattern with more than
+    {!max_nodes} nodes. *)
 
 val reset : t -> unit
 (** Forget all per-document state; the compiled patterns are kept. *)
@@ -57,8 +83,12 @@ val push : t -> Treekit.Event.t -> unit
 (** @raise Invalid_argument on unbalanced event streams. *)
 
 val matched : t -> int -> bool
-(** [matched bank j]: has pattern [j] matched in the document so far? *)
+(** [matched pass j]: has the pattern in slot [j] matched in the
+    document so far? *)
+
+val iter_matched : t -> (int -> unit) -> unit
+(** The slots that have matched in the document so far, each once. *)
 
 val stats : t -> int -> stats
-(** The statistics of pattern [j]; [peak_depth] and [events] are the
-    bank's. *)
+(** The statistics of the pattern in slot [j]; [peak_depth] and [events]
+    are the pass's. *)

@@ -14,25 +14,31 @@
     - {e Twig} — conjunctive forward path with qualifiers
       ({!Streamq.Xpath_filter.twig_of}) of at most
       {!Streamq.Twig_matcher.max_nodes} nodes; one pattern of the
-      session's streaming {!Streamq.Twig_matcher} bank (compiled once
-      per session, [reset] per document) fed in the same SAX pass.
+      index's {!Streamq.Twig_matcher} bank, fed in the same SAX pass.
+    - {e Chain} — a CQ whose binary atoms form one directed path over
+      [child], [descendant] and [following], each variable with at most
+      one label test ({!Streamq.Chain_matcher.of_cq}); one pattern of the
+      index's {!Streamq.Chain_matcher} bank, fed in the same pass.
     - {e Auto} — a registered {!Automata.Automaton} (MSO property),
       advanced through the same pass by its push {!Automata.Automaton.stepper}.
-    - {e General} — everything else (CQs, datalog, non-forward XPath):
-      compiled once with {!Treequery.Engine.prepare} and evaluated as a
-      Boolean plan on the materialised tree per document.
+    - {e General} — everything else (other CQs, datalog, non-forward
+      XPath): compiled once with {!Treequery.Engine.prepare} and evaluated
+      as a Boolean plan on the materialised tree per document.
 
     One {!match_tree} call therefore streams the document's SAX events
-    exactly once through trie + twig bank + automata, and fires every
-    matching subscription; Boolean semantics in every class agree with
-    one-at-a-time [Engine.eval_boolean] (the [standing-match] differential
-    oracle).
+    exactly once through trie + twig bank + chain bank + automata, and
+    fires every matching subscription; Boolean semantics in every class
+    agree with one-at-a-time [Engine.eval_boolean] (the [standing-match]
+    differential oracle).
 
-    Registration/unregistration must not run concurrently with matching;
-    sessions are single-threaded and parallel document matching uses one
-    session per domain ([Serve.Ingest]). *)
+    Each class's compiled patterns live once in the index, and
+    {!register} / {!unregister} patch them in time proportional to the
+    entry (slot reuse, per-label lists).  Registration/unregistration
+    must not run concurrently with matching; sessions are single-threaded
+    and parallel document matching uses one session per domain
+    ([Serve.Ingest]). *)
 
-type query_class = Spine | Twig | General | Auto
+type query_class = Spine | Twig | Chain | General | Auto
 
 val class_name : query_class -> string
 
@@ -67,11 +73,19 @@ val trie_states : t -> int
 val class_counts : t -> (string * int) list
 (** Live entries per class, as [(class name, count)]. *)
 
+val slots : t -> (string * int) list
+(** Patterns held per class outside the trie, as [(class name, count)]:
+    the twig and chain banks' live slots and the automaton and general
+    tables' lengths.  Each equals the class's {!class_counts} entry (the
+    audit of per-registration state). *)
+
 (** {1 Matching sessions}
 
-    A session owns the pooled per-pass state (trie pass, twig bank,
-    automaton steppers).  It lazily rebuilds when the entry set has
-    churned (version counter).  One session per domain. *)
+    A session owns only per-document working state: the trie pass, a
+    pass over each bank and the automaton steppers.  It sees every
+    registration made between documents without rebuilding anything:
+    its arrays grow when the index's capacity has grown.  One session
+    per domain. *)
 
 type session
 
@@ -79,9 +93,10 @@ val session : t -> session
 
 val match_tree : session -> Treekit.Tree.t -> int list
 (** Match one document: the sorted list of fired subscription IDs.
-    Cost: one SAX pass (trie active states + twig bank + automaton steps) plus
-    the compiled Boolean plans of the [General] entries plus the fired
-    set. *)
+    Cost: one SAX pass (trie active states + twig bank + chain bank +
+    automaton steps) plus the compiled Boolean plans of the [General]
+    entries plus the fired set; nothing proportional to the registrations
+    since the last document. *)
 
 val doc_active_work : session -> int
 (** Trie active-state work of the last {!match_tree} (the scaling

@@ -20,18 +20,11 @@ type state = {
 let fresh_state () =
   { child_lab = []; child_wild = -1; desc_lab = []; desc_wild = -1; terminals = [] }
 
-type t = {
-  mutable states : state array;
-  mutable count : int;
-  mutable version : int;  (* bumped whenever [count] grows *)
-}
+type t = { mutable states : state array; mutable count : int }
 
-let create () =
-  { states = Array.init 8 (fun _ -> fresh_state ()); count = 1; version = 0 }
+let create () = { states = Array.init 8 (fun _ -> fresh_state ()); count = 1 }
 
 let states t = t.count
-
-let version t = t.version
 
 let new_state t =
   if t.count = Array.length t.states then begin
@@ -41,7 +34,6 @@ let new_state t =
   end;
   let id = t.count in
   t.count <- t.count + 1;
-  t.version <- t.version + 1;
   id
 
 let step_target t from (s : P.step) =

@@ -26,10 +26,6 @@ val create : unit -> t
 
 val states : t -> int
 
-val version : t -> int
-(** Bumped whenever a state is added (pooled passes use it to detect
-    growth; {!pass} working arrays resize lazily on [begin_doc]). *)
-
 val add : t -> Streamq.Path_pattern.t -> int
 (** Insert a spine, sharing every existing prefix; returns the terminal
     state (identical spines return the same state).

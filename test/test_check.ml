@@ -154,6 +154,21 @@ let test_oracle_lookup () =
     (Oracles.names ());
   Alcotest.(check bool) "unknown name" true (Oracles.find "nope" = None)
 
+(* a discrepancy's message is the shrunk case's own, the one its
+   repro line replays *)
+let test_message_is_the_shrunk_cases () =
+  let stats =
+    Runner.run { Runner.default with cases = 200; oracles = [ Fault.oracle ]; max_failures = 20 }
+  in
+  let ds = stats.Runner.discrepancies in
+  Alcotest.(check bool) "bug caught" true (ds <> []);
+  List.iter
+    (fun (d : Runner.discrepancy) ->
+      match Fault.oracle.Oracles.run d.shrunk with
+      | Oracles.Fail m -> Alcotest.(check string) (Printf.sprintf "case %d" d.case_index) m d.message
+      | _ -> Alcotest.failf "shrunk case %d no longer fails" d.case_index)
+    ds
+
 let suite =
   [
     Alcotest.test_case "200-case smoke across all oracles" `Quick test_smoke_200;
@@ -176,4 +191,6 @@ let suite =
     Alcotest.test_case "greedy minimisation reaches the floor" `Quick
       test_minimize_is_greedy_descent;
     Alcotest.test_case "oracle registry lookup" `Quick test_oracle_lookup;
+    Alcotest.test_case "a discrepancy reports the shrunk case's message" `Quick
+      test_message_is_the_shrunk_cases;
   ]

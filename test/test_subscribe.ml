@@ -288,3 +288,203 @@ let suite =
     Alcotest.test_case "oversized twig routes to a general plan" `Quick
       test_oversized_twig_is_general;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* the chain class *)
+
+module Chains = Streamq.Chain_matcher
+module Q = Cqtree.Query
+
+(* a chain CQ of 1–4 atoms over child, descendant and following, each
+   variable tested for a, b or c, or not at all *)
+let chain_cq_gen =
+  QCheck2.Gen.(
+    let* k = int_range 1 4 in
+    let* tests = list_repeat (k + 1) (oneofl [ None; Some "a"; Some "b"; Some "c" ]) in
+    let* axes = list_repeat k (oneofl [ Axis.Child; Axis.Descendant; Axis.Following ]) in
+    let var i = Printf.sprintf "X%d" i in
+    let labels =
+      List.concat (List.mapi (fun i -> function Some l -> [ Q.U (Q.Lab l, var i) ] | None -> []) tests)
+    in
+    let edges = List.mapi (fun i a -> Q.A (a, var i, var (i + 1))) axes in
+    return { Q.head = []; atoms = labels @ edges })
+
+(* a bank of random chains against one-at-a-time evaluation; the pass
+   first sees a stream cut after [cut] events, so its reset must equal
+   a fresh pass *)
+let prop_chain_bank =
+  qtest ~count:300 "chain bank = Engine.eval_boolean; reset = fresh pass"
+    QCheck2.Gen.(
+      let* k = int_range 1 6 in
+      let* qs = list_repeat k chain_cq_gen in
+      let* s1 = int_range 0 50_000 in
+      let* s2 = int_range 0 50_000 in
+      let* n1 = int_range 1 60 in
+      let* n2 = int_range 1 60 in
+      let* cut = int_range 0 (2 * n1) in
+      return (qs, random_tree ~seed:s1 ~n:n1 (), cut, random_tree ~seed:s2 ~n:n2 ()))
+    (fun (qs, t1, cut, t2) ->
+      let bank = Chains.bank () in
+      let slots = List.map (fun q -> Chains.add bank (Option.get (Chains.of_cq q))) qs in
+      let p = Chains.pass bank in
+      List.iteri (fun i ev -> if i < cut then Chains.push p ev) (Event.to_list t1);
+      Chains.reset p;
+      Event.iter t2 (Chains.push p);
+      let fresh = Chains.pass bank in
+      Event.iter t2 (Chains.push fresh);
+      List.for_all2
+        (fun q j ->
+          let want = E.eval_boolean (E.Cq_query q) t2 in
+          Chains.matched p j = want && Chains.matched fresh j = want)
+        qs slots)
+
+let test_workload_cqs_are_chains () =
+  let rng = Random.State.make [| 22 |] in
+  let idx = Index.create () in
+  for id = 0 to 499 do
+    let text = Serve.Workload.gen_cq rng in
+    if Index.register idx ~id (E.parse_cq text) = Index.General then
+      Alcotest.failf "%s registers as general" text
+  done;
+  Alcotest.(check int) "no general entry" 0 (List.assoc "general" (Index.class_counts idx));
+  Alcotest.(check bool) "chain entries" true (List.assoc "chain" (Index.class_counts idx) > 0)
+
+(* distinct chains for i < 9000: i's mixed-radix digits pick the axes
+   and labels *)
+let chain_text i =
+  let vocab =
+    [| "site"; "regions"; "item"; "name"; "description"; "people"; "person"; "open_auction";
+       "bidder"; "increase" |]
+  in
+  let axes = [| "child"; "descendant"; "following" |] in
+  Printf.sprintf
+    "q(X0) :- lab(X0, \"%s\"), %s(X0, X1), lab(X1, \"%s\"), %s(X1, X2), lab(X2, \"%s\")"
+    vocab.(i / 900 mod 10) axes.(i mod 3) vocab.(i / 3 mod 10) axes.(i / 30 mod 3)
+    vocab.(i / 90 mod 10)
+
+let chain_query i = E.parse_cq (chain_text i)
+
+(* churn cost: a host-independent allocation gate.  Minor words of one
+   register + unregister + match_tree on a fixed document, less those of
+   match_tree alone, with [live] chains registered: patching the index
+   costs the entry, not the population.  The least of three rounds, so
+   a hash-table or bank resize in the first does not count. *)
+let churn_words ~live =
+  let idx = Index.create () in
+  for id = 0 to live - 1 do
+    ignore (Index.register idx ~id (chain_query id))
+  done;
+  let s = Index.session idx in
+  let doc = Generator.xmark ~seed:3 ~scale:2 () in
+  ignore (Index.match_tree s doc);
+  (* the same query at every [live], so its text costs the same *)
+  let extra = chain_query 8_999 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let alone = words (fun () -> ignore (Index.match_tree s doc)) in
+    let churned =
+      words (fun () ->
+          ignore (Index.register idx ~id:live extra);
+          ignore (Index.unregister idx ~id:live);
+          ignore (Index.match_tree s doc))
+    in
+    best := Float.min !best (churned -. alone)
+  done;
+  !best
+
+let test_churn_allocation_gate () =
+  let w1 = churn_words ~live:1_000 and w4 = churn_words ~live:4_000 in
+  if w4 > w1 then
+    Alcotest.failf "register + unregister allocate %.0f words at 4000 live chains, %.0f at 1000" w4 w1
+
+(* the audit of per-registration state: after many distinct
+   register/unregister pairs over every class, each class's compiled
+   slots equal its live entries *)
+let test_slots_follow_live_entries () =
+  let idx = Index.create () in
+  let s = Index.session idx in
+  let doc = Generator.xmark ~seed:5 ~scale:1 () in
+  let query i =
+    match i mod 4 with
+    | 0 | 1 -> chain_query i
+    | 2 -> xq (Printf.sprintf "//item[name]/description[text%d]" i)
+    | _ ->
+      E.parse_cq
+        (Printf.sprintf "q(X) :- lab(X, \"item\"), child(X, Y), lab(Y, \"n%d\"), root(X)" i)
+  in
+  (* a standing population, then pairs whose lifetimes overlap *)
+  for id = 0 to 39 do
+    ignore (Index.register idx ~id (query id))
+  done;
+  ignore (Index.register_automaton idx ~id:40 (Automata.Automaton.exists_label "item"));
+  for i = 0 to 599 do
+    ignore (Index.register idx ~id:(1000 + i) (query (100 + i)));
+    if i >= 8 then ignore (Index.unregister idx ~id:(1000 + i - 8));
+    if i mod 50 = 0 then ignore (Index.match_tree s doc);
+    if i = 300 then ignore (Index.unregister idx ~id:40)
+  done;
+  let counts = Index.class_counts idx in
+  Alcotest.(check (list (pair string int)))
+    "slots = live entries"
+    (List.filter (fun (c, _) -> c <> "spine") counts)
+    (Index.slots idx);
+  Alcotest.(check int) "chain slots" (20 + 4) (List.assoc "chain" (Index.slots idx));
+  let want =
+    List.init 40 Fun.id @ List.init 8 (fun k -> 1592 + k)
+    |> List.filter (fun id ->
+           let q = if id < 40 then query id else query (100 + id - 1000) in
+           E.eval_boolean q doc)
+  in
+  Alcotest.(check (list int)) "fired = one-at-a-time" want (Index.match_tree s doc)
+
+(* both banks allocate nothing per event: after a warm-up document has
+   grown the depth rows, pushing 10 more documents' events allocates no
+   more than reading the clock of minor words does *)
+let test_banks_allocate_nothing_per_event () =
+  let doc = Generator.xmark ~seed:9 ~scale:8 () in
+  let events = Array.of_list (Event.to_list doc) in
+  let chains = Chains.bank () in
+  for i = 0 to 199 do
+    ignore (Chains.add chains (Option.get (Chains.of_cq (Q.of_string (chain_text i)))))
+  done;
+  let twigs = Streamq.Twig_matcher.bank ~anchored:true () in
+  for i = 0 to 99 do
+    let path = Xpath.Parser.parse (Printf.sprintf "//item[name]/description[text%d]" i) in
+    match Streamq.Xpath_filter.twig_of path with
+    | Some t -> ignore (Streamq.Twig_matcher.add twigs t)
+    | None -> Alcotest.fail "not a twig"
+  done;
+  let cp = Chains.pass chains and tp = Streamq.Twig_matcher.pass twigs in
+  let words push reset =
+    reset ();
+    Array.iter push events;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10 do
+      reset ();
+      for i = 0 to Array.length events - 1 do
+        push events.(i)
+      done
+    done;
+    Gc.minor_words () -. w0
+  in
+  let cw = words (Chains.push cp) (fun () -> Chains.reset cp) in
+  let tw = words (Streamq.Twig_matcher.push tp) (fun () -> Streamq.Twig_matcher.reset tp) in
+  if cw > 16.0 || tw > 16.0 then
+    Alcotest.failf "%d events allocated %.0f words in the chain bank, %.0f in the twig bank"
+      (10 * Array.length events) cw tw
+
+let suite =
+  suite
+  @ [
+      prop_chain_bank;
+      Alcotest.test_case "workload CQs register as chains" `Quick test_workload_cqs_are_chains;
+      Alcotest.test_case "churn allocation gate" `Quick test_churn_allocation_gate;
+      Alcotest.test_case "slots follow live entries" `Quick test_slots_follow_live_entries;
+      Alcotest.test_case "banks allocate nothing per event" `Quick
+        test_banks_allocate_nothing_per_event;
+    ]
