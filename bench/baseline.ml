@@ -78,6 +78,7 @@ let suite () =
         in
         ignore (Serve.Server.run cfg xmark64 shapes reqs));
     serving;
+    forgetting;
     subscribe;
   ]
 

@@ -255,3 +255,115 @@ let subscribe =
           den = "index_witness_per_doc_1k"; bound = At_most 25.0 };
       ];
   }
+
+(* ------------------------------------------------------------------ *)
+(* Standing queries, churned: a fixed live set of spines and chain CQs,
+   then N distinct register/unregister pairs of other spines and chains
+   (documents matched between them, so sessions see the churn).  The
+   index frees what is unregistered, so after any N its trie holds the
+   states, and a document costs it the work, of a fresh index that only
+   ever held the live set. *)
+
+let chain_axes = [| "child"; "descendant"; "following" |]
+
+(* a chain CQ of 2–3 variables over the vocabulary, as text *)
+let chain_text rng =
+  let lab () = vocab.(Random.State.int rng (Array.length vocab)) in
+  let k = 1 + Random.State.int rng 2 in
+  let atoms =
+    List.init (k + 1) (fun i ->
+        Printf.sprintf "lab(X%d, \"%s\")" i (lab ())
+        :: (if i = 0 then []
+            else
+              [ Printf.sprintf "%s(X%d, X%d)" chain_axes.(Random.State.int rng 3) (i - 1) i ]))
+  in
+  "q :- " ^ String.concat ", " (List.concat atoms) ^ "."
+
+(* [n] distinct registrations, one in three a chain *)
+let distinct_standing ~rng n =
+  let seen = Hashtbl.create (2 * n) in
+  let acc = ref [] in
+  while Hashtbl.length seen < n do
+    let q =
+      if Random.State.int rng 3 = 0 then Engine.parse_cq (chain_text rng)
+      else Engine.Xpath_query (PP.to_xpath (PP.random ~rng ~length:(1 + Random.State.int rng 4) ~labels:vocab ()))
+    in
+    let key = Engine.canonical q in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      acc := q :: !acc
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
+let live_count = 300
+
+let churn_checkpoints = [ 1_000; 10_000 ]
+
+(* trie states, work per document and fired sets of an index over [docs] *)
+let index_state idx sess docs =
+  let work = ref 0 in
+  let fired =
+    Array.map
+      (fun t ->
+        let f = Index.match_tree sess t in
+        work := !work + Index.doc_active_work sess;
+        f)
+      docs
+  in
+  (Index.trie_states idx, float_of_int !work /. float_of_int (Array.length docs), fired)
+
+let forgets () =
+  let rng = Random.State.make [| 0x464f |] in
+  let all = distinct_standing ~rng (live_count + List.fold_left max 0 churn_checkpoints) in
+  let docs = Array.init 4 (fun i -> Treekit.Generator.xmark ~seed:(7_100 + i) ~scale:10 ()) in
+  let fresh = Index.create () in
+  for id = 0 to live_count - 1 do
+    ignore (Index.register fresh ~id all.(id))
+  done;
+  let states, work, fired = index_state fresh (Index.session fresh) docs in
+  let idx = Index.create () in
+  let sess = Index.session idx in
+  for id = 0 to live_count - 1 do
+    ignore (Index.register idx ~id all.(id))
+  done;
+  let pairs = ref 0 in
+  let per_n =
+    List.map
+      (fun n ->
+        while !pairs < n do
+          let id = live_count + !pairs in
+          ignore (Index.register idx ~id all.(id));
+          ignore (Index.unregister idx ~id);
+          incr pairs;
+          if !pairs mod 100 = 0 then ignore (Index.match_tree sess docs.(!pairs / 100 mod 4))
+        done;
+        let s, w, f = index_state idx sess docs in
+        let k = Printf.sprintf "%dk" (n / 1000) in
+        ( [ ("churned_" ^ k ^ "_trie_states", float_of_int s); ("churned_" ^ k ^ "_work_per_doc", w) ],
+          [
+            (Printf.sprintf "trie states after %d pairs = a fresh index's" n, s = states);
+            (Printf.sprintf "work per document after %d pairs = a fresh index's" n, w = work);
+            (Printf.sprintf "fired sets after %d pairs = a fresh index's" n, f = fired);
+          ] ))
+      churn_checkpoints
+  in
+  {
+    sides =
+      [ ("fresh_trie_states", float_of_int states); ("fresh_work_per_doc", work) ]
+      @ List.concat_map fst per_n;
+    checks = List.concat_map snd per_n;
+  }
+
+let forgetting =
+  {
+    name = "subscribe-index-forgets/churn-1k-10k";
+    run = forgets;
+    claims =
+      [
+        (* after 10k distinct register/unregister pairs a document costs
+           no more trie work than on an index that never saw them *)
+        { id = "index-forgets"; num = "churned_10k_work_per_doc"; den = "fresh_work_per_doc";
+          bound = At_most 1.0 };
+      ];
+  }

@@ -150,7 +150,6 @@ let observe ?(extra = false) ?(augment = fun j -> j) ?(emit = fun _ -> ()) commo
 let handle_errors f =
   try f () with
   | Failure m | Invalid_argument m | Sys_error m -> `Error (false, m)
-  | Treekit.Xml.Parse_error m -> `Error (false, "XML: " ^ m)
   | Treekit.Parse_error.Error { pos; msg } ->
     `Error (false, Treekit.Parse_error.to_string ~pos ~msg)
 

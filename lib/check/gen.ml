@@ -213,7 +213,7 @@ let latency_sample _cfg rng =
   in
   Case.Latency_sample xs
 
-(* a chain for the standing index's chain bank: 1–3 atoms over child,
+(* a chain CQ for the standing index's trie: 1–3 atoms over child,
    descendant and following, a quarter written as the inverse atom;
    labels from the alphabet, a quarter of the variables unlabeled (so
    X0 matches the root, among other nodes) *)
@@ -235,16 +235,40 @@ let chain cfg rng =
   let head = if Random.State.bool rng then [] else [ var (Random.State.int rng (k + 1)) ] in
   Case.Cq { Cqtree.Query.head; atoms }
 
-(* standing-query scripts: a churn of registrations (across all five
-   index classes — spines, twigs via qualified XPath, chain CQs, other
-   CQs and XPath for the general plans, automata), unregistrations of
-   earlier script positions, and match points.  Always ends on a match
-   so every script exercises the index; unregistrations between matches
-   exercise churn mid-stream. *)
+(* a chain or a spine of 3–4 positions joined by descendant steps, each
+   labelled with one of the first two labels: on the oracle's small
+   trees such a query often holds only through a position two or more
+   levels below the one before it, which is what tells [descendant]
+   from [child] *)
+let gap cfg rng =
+  let k = 2 + Random.State.int rng 2 in
+  let lab () = cfg.labels.(Random.State.int rng (min 2 (Array.length cfg.labels))) in
+  let labels = List.init (k + 1) (fun _ -> lab ()) in
+  if Random.State.bool rng then
+    Case.Pattern
+      (List.map (fun l -> { Streamq.Path_pattern.edge = Descendant; label = Some l }) labels)
+  else
+    let var i = Printf.sprintf "X%d" i in
+    let atoms =
+      List.concat
+        (List.mapi
+           (fun i l ->
+             Cqtree.Query.U (Cqtree.Query.Lab l, var i)
+             :: (if i = 0 then [] else [ Cqtree.Query.A (Axis.Descendant, var (i - 1), var i) ]))
+           labels)
+    in
+    Case.Cq { Cqtree.Query.head = []; atoms }
+
+(* standing-query scripts: a churn of registrations (across all four
+   index classes — spines, chain CQs among them, twigs via qualified
+   XPath, other CQs and XPath for the general plans, automata),
+   unregistrations of earlier script positions, and match points.
+   Always ends on a match so every script exercises the index;
+   unregistrations between matches exercise churn mid-stream. *)
 let standing cfg rng =
   let registered q = Case.S_register q in
   let gen_registration () =
-    match Random.State.int rng 7 with
+    match Random.State.int rng 8 with
     | 0 -> registered (pattern cfg rng)
     | 1 | 2 ->
       registered
@@ -253,6 +277,7 @@ let standing cfg rng =
            ~allow_negation:false ~allow_union:false cfg rng)
     | 3 -> registered (xpath cfg rng)
     | 4 | 5 -> registered (chain cfg rng)
+    | 6 -> registered (gap cfg rng)
     | _ -> if Random.State.bool rng then registered (cq_arbitrary cfg rng)
            else registered (auto cfg rng)
   in

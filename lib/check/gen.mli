@@ -64,13 +64,16 @@ val setops : config -> Random.State.t -> Case.query
 
 val standing : config -> Random.State.t -> Case.query
 (** A standing-query script of 3–9 operations: registrations drawn
-    across all five index classes (path spines, qualified forward XPath,
-    general XPath, chain CQs, arbitrary CQs, composed automata),
+    across all four index classes (path spines, qualified forward
+    XPath, general XPath, chain CQs, arbitrary CQs, composed automata),
     unregistrations of earlier script positions, match points; always
     ends on a match.  A chain CQ has 1–3 atoms over [child],
     [descendant] and [following] (a quarter written as the inverse
     atom), labels from the alphabet and a quarter of its variables
-    unlabeled. *)
+    unlabeled.  One registration in eight is a chain CQ or a path
+    pattern of 3–4 positions joined by [descendant] steps and labelled
+    from the first two labels, which on small trees often holds only
+    through a position two or more levels below the one before it. *)
 
 val obs_report : config -> Random.State.t -> Case.query
 (** A synthetic {!Obs.Report.t}: nested spans with typed attributes,

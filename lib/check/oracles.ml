@@ -758,14 +758,15 @@ let parallel_batch =
 (* Standing-query index *)
 
 (* A standing-query script (register / unregister / match) interpreted
-   twice: against the shared Subscribe.Index — spines in the merged trie,
-   twigs in the twig bank, chain CQs in the chain bank, automata as push
+   twice: against the shared Subscribe.Index — spines and chain CQs in
+   the merged trie, twigs in the twig bank, automata as push
    steppers, the rest as compiled Boolean plans, all fed by ONE SAX pass
    per match — and against the reference, one-at-a-time evaluation of
    every live registration.  Fired ID sets must be identical at every
    match point, including after mid-script churn.  The session is reused
-   across match points, so the in-place patching of the banks and tables
-   (slot reuse, working-array regrowth) is exercised too. *)
+   across match points, so the in-place patching of the trie, the bank
+   and the tables (freed states, slot reuse, working-array regrowth) is
+   exercised too. *)
 let standing_match =
   {
     name = "standing-match";

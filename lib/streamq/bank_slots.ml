@@ -8,7 +8,6 @@ type back = {
 type t = {
   labels : int Labels.t;
   mutable members : int array array;
-  mutable values : int array array;
   mutable len : int array;
   back : back;
   mutable free : int list;
@@ -20,7 +19,6 @@ let create () =
   {
     labels = Labels.create 16;
     members = [||];
-    values = [||];
     len = [||];
     back = { keys = [||]; pos = [||] };
     free = [];
@@ -46,7 +44,6 @@ let reserve_keys t k =
   if k >= cap then begin
     let cap = max (k + 1) (2 * cap) in
     t.members <- extend t.members cap [||];
-    t.values <- extend t.values cap [||];
     t.len <- extend t.len cap 0
   end
 
@@ -58,20 +55,15 @@ let reserve_slots b s =
     b.pos <- extend b.pos cap [||]
   end
 
-let push t k slot v =
+let push t k slot =
   reserve_keys t k;
   let n = t.len.(k) in
-  if n = Array.length t.members.(k) then begin
-    let cap = max 4 (2 * n) in
-    t.members.(k) <- extend t.members.(k) cap 0;
-    t.values.(k) <- extend t.values.(k) cap 0
-  end;
+  if n = Array.length t.members.(k) then t.members.(k) <- extend t.members.(k) (max 4 (2 * n)) 0;
   t.members.(k).(n) <- slot;
-  t.values.(k).(n) <- v;
   t.len.(k) <- n + 1;
   n
 
-let add t entries =
+let add t keys =
   let slot =
     match t.free with
     | s :: rest ->
@@ -83,8 +75,8 @@ let add t entries =
   in
   let b = t.back in
   reserve_slots b slot;
-  b.keys.(slot) <- Array.map fst entries;
-  b.pos.(slot) <- Array.map (fun (k, v) -> push t k slot v) entries;
+  b.keys.(slot) <- keys;
+  b.pos.(slot) <- Array.map (fun k -> push t k slot) keys;
   t.live <- t.live + 1;
   slot
 
@@ -98,7 +90,6 @@ let remove t slot =
     let last = t.len.(k) - 1 in
     let moved = t.members.(k).(last) in
     t.members.(k).(p) <- moved;
-    t.values.(k).(p) <- t.values.(k).(last);
     t.len.(k) <- last;
     if moved <> slot then begin
       let mk = b.keys.(moved) in

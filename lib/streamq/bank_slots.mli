@@ -1,12 +1,10 @@
-(** The slot directory of a pattern bank ({!Twig_matcher},
-    {!Chain_matcher}): slot allocation, label interning and per-label
-    lists, patched in place.
+(** The slot directory of a pattern bank ({!Twig_matcher}): slot
+    allocation, label interning and per-label lists, patched in place.
 
     Each live pattern owns a slot; a removed pattern's slot goes to the
     next {!add}.  Labels are interned from 1.  A pattern is filed under
     a few integer keys (the labels it tests; key 0 is the bank's own,
-    say for patterns with a wildcard), with one int value per key (say,
-    the positions that carry the label).  A matching pass reads a key's
+    say for patterns with a wildcard).  A matching pass reads a key's
     members as a dense array prefix, straight from the fields.  Filing
     costs the pattern's key count; removal costs its key count times the
     key count of each slot moved into the gaps: every member keeps a
@@ -22,7 +20,6 @@ type t = private {
   labels : int Labels.t;  (** interned labels, from 1 *)
   mutable members : int array array;
       (** per key: its slots, the first [len.(key)] live *)
-  mutable values : int array array;  (** per key: the values, index for index *)
   mutable len : int array;  (** per key; a key past its length has no members *)
   back : back;
   mutable free : int list;
@@ -35,9 +32,9 @@ val create : unit -> t
 val intern : t -> string -> int
 (** The label's id, interning it on first sight. *)
 
-val add : t -> (int * int) array -> int
-(** [add t entries] takes a free slot and files it under each
-    [(key, value)] of [entries] (distinct, non-negative keys). *)
+val add : t -> int array -> int
+(** [add t keys] takes a free slot and files it under each of [keys]
+    (distinct and non-negative). *)
 
 val remove : t -> int -> unit
 (** Unfile a live slot from every key and free it. *)

@@ -12,11 +12,15 @@ type frame = { exact : int; acc : int }
    this node; [acc] bit i: matched at some ancestor-or-self.  Bit 0 is the
    empty prefix and is set exactly at the root, which anchors the pattern:
    a leading / extends bit 0 of [exact] (children of the root), a leading
-   // extends bit 0 of [acc] (strict descendants of the root). *)
+   // extends bit 0 of [acc] (strict descendants of the root).  [closed]
+   bit i: matched at a node that has closed, which a [Following] step
+   extends; it is set at that node's [Close], never at its [Open], so a
+   node's own descendants do not follow it. *)
 
 type state = {
   steps : Path_pattern.step array;
   mutable stack : frame list;
+  mutable closed : int;
   mutable depth : int;
   mutable peak : int;
   mutable matches : int;
@@ -33,6 +37,7 @@ let make pattern ~on_match =
   {
     steps;
     stack = [];
+    closed = 0;
     depth = 0;
     peak = 0;
     matches = 0;
@@ -59,6 +64,7 @@ let push_event st ev =
               match s.edge with
               | Path_pattern.Child -> parent.exact
               | Path_pattern.Descendant -> parent.acc
+              | Path_pattern.Following -> st.closed
             in
             if label_ok && from land (1 lsl (i - 1)) <> 0 then
               exact := !exact lor (1 lsl i))
@@ -78,7 +84,8 @@ let push_event st ev =
   | Event.Close _ -> (
     match st.stack with
     | [] -> invalid_arg "Path_matcher: unbalanced events"
-    | _ :: rest ->
+    | frame :: rest ->
+      st.closed <- st.closed lor frame.exact;
       st.stack <- rest;
       st.depth <- st.depth - 1)
 
@@ -92,6 +99,7 @@ let create pattern ~on_match = make pattern ~on_match
 
 let reset st =
   st.stack <- [];
+  st.closed <- 0;
   st.depth <- 0;
   st.peak <- 0;
   st.matches <- 0;

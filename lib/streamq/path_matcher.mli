@@ -11,7 +11,9 @@
     Each stack frame holds two bitmasks over pattern prefixes: the
     prefixes matched {e exactly} at this node, and those matched at some
     ancestor-or-self (the "sticky" states that descendant edges may extend
-    from arbitrarily far above). *)
+    from arbitrarily far above).  One more mask per document holds the
+    prefixes matched at a node that has closed, which [Following] edges
+    extend. *)
 
 type stats = {
   matches : int;  (** number of selected nodes *)

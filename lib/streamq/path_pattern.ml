@@ -1,4 +1,4 @@
-type edge = Child | Descendant
+type edge = Child | Descendant | Following
 
 type step = { edge : edge; label : string option }
 
@@ -44,7 +44,7 @@ let to_string p =
   String.concat ""
     (List.map
        (fun { edge; label } ->
-         (match edge with Child -> "/" | Descendant -> "//")
+         (match edge with Child -> "/" | Descendant -> "//" | Following -> "/following::")
          ^ match label with Some l -> l | None -> "*")
        p)
 
@@ -58,6 +58,7 @@ let to_xpath p =
     match edge with
     | Child -> A.Step { axis = Ax.Child; quals }
     | Descendant -> A.Step { axis = Ax.Descendant; quals }
+    | Following -> A.Step { axis = Ax.Following; quals }
   in
   match p with
   | [] -> invalid_arg "Path_pattern.to_xpath: empty pattern"

@@ -4,9 +4,13 @@
     chain of steps, each reached by [/] (Child) or [//] (Descendant) and
     optionally testing a label — e.g. [//a/b//c].  The first step's edge
     anchors the pattern at the root: [Child] means the root's children,
-    [Descendant] anywhere below the root. *)
+    [Descendant] anywhere below the root.
 
-type edge = Child | Descendant
+    A [Following] step reaches a node that opens after the previous
+    step's node has closed (the [following] axis).  Chain-shaped CQs
+    use it; {!of_string}, {!of_xpath} and {!random} never produce it. *)
+
+type edge = Child | Descendant | Following
 
 type step = { edge : edge; label : string option }
 
@@ -18,6 +22,7 @@ val of_string : string -> t
     @raise Failure on syntax errors. *)
 
 val to_string : t -> string
+(** [//a/b//c] syntax; a [Following] step prints as [/following::a]. *)
 
 val length : t -> int
 

@@ -52,7 +52,7 @@ let compile b p =
   in
   ignore (visit p);
   let keys = List.sort_uniq compare (if !wild_leaf then 0 :: !mentions else !mentions) in
-  (code, Array.of_list (List.map (fun k -> (k, 0)) keys))
+  (code, Array.of_list keys)
 
 let add b p =
   let code, keys = compile b p in

@@ -2,14 +2,13 @@ module Engine = Treequery.Engine
 module Event = Treekit.Event
 module P = Streamq.Path_pattern
 module Twigs = Streamq.Twig_matcher
-module Chains = Streamq.Chain_matcher
+module Q = Cqtree.Query
 
-type query_class = Spine | Twig | Chain | General | Auto
+type query_class = Spine | Twig | General | Auto
 
 let class_name = function
   | Spine -> "spine"
   | Twig -> "twig"
-  | Chain -> "chain"
   | General -> "general"
   | Auto -> "auto"
 
@@ -20,8 +19,6 @@ let c_fired = Obs.Counter.make "subscribe_fired"
 let c_fired_spine = Obs.Counter.make "subscribe_fired_spine"
 
 let c_fired_twig = Obs.Counter.make "subscribe_fired_twig"
-
-let c_fired_chain = Obs.Counter.make "subscribe_fired_chain"
 
 let c_fired_general = Obs.Counter.make "subscribe_fired_general"
 
@@ -34,12 +31,11 @@ let c_registered = Obs.Counter.make "subscribe_registrations"
 let c_unregistered = Obs.Counter.make "subscribe_unregistrations"
 
 (* [slot] is the entry's place in its class: its trie state (spine),
-   its bank slot (twig, chain) or its position in the class's table
+   its bank slot (twig) or its position in the class's table
    (automaton, general plan) *)
 type body =
   | Spine_body
   | Twig_body
-  | Chain_body
   | Auto_body of Automata.Automaton.t
   | General_body of Engine.prepared
 
@@ -84,15 +80,13 @@ let table_remove tb e =
   tb.items.(tb.len) <- vacant
 
 (* Every class's compiled patterns live here, once: the trie, the twig
-   and chain banks (with their slot-to-entry maps) and the tables of
-   automata and general plans.  [register] and [unregister] patch them
-   in place; sessions hold only per-document working state. *)
+   bank (with its slot-to-entry map) and the tables of automata and
+   general plans.  [register] and [unregister] patch them in place;
+   sessions hold only per-document working state. *)
 type t = {
   trie : Trie.t;
   twigs : Twigs.bank;
-  chains : Chains.bank;
   mutable twig_entries : entry array;  (* per twig-bank slot *)
-  mutable chain_entries : entry array;  (* per chain-bank slot *)
   autos : table;
   generals : table;
   by_canon : (string, entry) Hashtbl.t;
@@ -105,9 +99,7 @@ let create () =
   {
     trie = Trie.create ();
     twigs = Twigs.bank ~anchored:true ();
-    chains = Chains.bank ();
     twig_entries = [||];
-    chain_entries = [||];
     autos = { items = [||]; len = 0 };
     generals = { items = [||]; len = 0 };
     by_canon = Hashtbl.create 256;
@@ -125,47 +117,86 @@ let trie_states t = Trie.states t.trie
 let class_of_body = function
   | Spine_body -> Spine
   | Twig_body -> Twig
-  | Chain_body -> Chain
   | General_body _ -> General
   | Auto_body _ -> Auto
 
 let class_counts t =
-  let counts = [| 0; 0; 0; 0; 0 |] in
-  let slot = function Spine -> 0 | Twig -> 1 | Chain -> 2 | General -> 3 | Auto -> 4 in
+  let counts = [| 0; 0; 0; 0 |] in
+  let slot = function Spine -> 0 | Twig -> 1 | General -> 2 | Auto -> 3 in
   Hashtbl.iter
     (fun _ e -> counts.(slot (class_of_body e.body)) <- counts.(slot (class_of_body e.body)) + 1)
     t.by_canon;
-  [
-    ("spine", counts.(0)); ("twig", counts.(1)); ("chain", counts.(2)); ("general", counts.(3));
-    ("auto", counts.(4));
-  ]
+  [ ("spine", counts.(0)); ("twig", counts.(1)); ("general", counts.(2)); ("auto", counts.(3)) ]
 
-let slots t =
-  [
-    ("twig", Twigs.live t.twigs); ("chain", Chains.live t.chains); ("general", t.generals.len);
-    ("auto", t.autos.len);
-  ]
+let slots t = [ ("twig", Twigs.live t.twigs); ("general", t.generals.len); ("auto", t.autos.len) ]
+
+exception Not_chain
+
+(* A forward-normalised CQ is a chain when its binary atoms form one
+   directed path x0 → x1 → … → xk over child, descendant and following
+   through every variable, and each variable carries at most one label
+   test ([True] tests say nothing and are dropped).  The head is then on
+   the path, and the query's Boolean value is whether some node matches
+   the path's last position: the spine that takes a [Descendant] step
+   from the document node to x0 (any element, the root included), then
+   one step per atom. *)
+let chain_of_cq q =
+  let q = Q.normalize_forward q in
+  let label = Hashtbl.create 8 and out = Hashtbl.create 8 and into = Hashtbl.create 8 in
+  let edge axis x y =
+    if Hashtbl.mem out x || Hashtbl.mem into y then raise Not_chain;
+    Hashtbl.add out x (axis, y);
+    Hashtbl.add into y ()
+  in
+  let atom = function
+    | Q.U (Q.True, _) -> ()
+    | Q.U (Q.Lab l, x) ->
+      if Hashtbl.mem label x then raise Not_chain;
+      Hashtbl.add label x l
+    | Q.A (Treekit.Axis.Child, x, y) -> edge P.Child x y
+    | Q.A (Treekit.Axis.Descendant, x, y) -> edge P.Descendant x y
+    | Q.A (Treekit.Axis.Following, x, y) -> edge P.Following x y
+    | Q.U _ | Q.A _ -> raise Not_chain
+  in
+  let vars = Q.vars q in
+  match List.iter atom (List.sort_uniq compare q.Q.atoms) with
+  | exception Not_chain -> None
+  | () -> (
+    match List.filter (fun x -> not (Hashtbl.mem into x)) vars with
+    | [ x0 ] ->
+      (* in-degrees are at most 1 and the source's is 0, so the walk
+         from the source ends; it covers every variable iff no other
+         variable sits on a cycle of its own *)
+      let rec walk x acc =
+        match Hashtbl.find_opt out x with
+        | None -> List.rev acc
+        | Some (edge, y) -> walk y ({ P.edge; label = Hashtbl.find_opt label y } :: acc)
+      in
+      let spine = walk x0 [ { P.edge = P.Descendant; label = Hashtbl.find_opt label x0 } ] in
+      if List.length spine = List.length vars then Some spine else None
+    | _ -> None)
 
 (* The class ladder: a query whose whole meaning is a forward spine goes
    into the merged trie (per-document cost shared with every other
-   spine); a conjunctive forward path with qualifiers joins the twig
-   bank, fed in the same pass (unless it is too large for the bank's
-   bitmasks: one such pattern would make the whole bank refuse); a CQ
-   whose atoms form one forward chain joins the chain bank, fed in the
-   same pass too; anything else falls back to its compiled one-at-a-time
-   plan, evaluated per document on the materialised tree.  Boolean
-   semantics agree with [Engine.eval_boolean] in every class (the
-   [standing-match] oracle). *)
+   spine), from the root element for XPath and from the document node
+   for a chain CQ; a conjunctive forward path with qualifiers joins the
+   twig bank, fed in the same pass (unless it is too large for the
+   bank's bitmasks: one such pattern would make the whole bank refuse);
+   anything else falls back to its compiled one-at-a-time plan,
+   evaluated per document on the materialised tree.  Boolean semantics
+   agree with [Engine.eval_boolean] in every class (the [standing-match]
+   oracle). *)
 let classify q =
   match q with
   | Engine.Xpath_query p -> (
     match P.of_xpath p with
-    | Some pat when List.length pat <= 61 -> `Spine pat
+    | Some pat when List.length pat <= 61 -> `Spine (Trie.Root, pat)
     | _ -> (
       match Streamq.Xpath_filter.twig_of p with
       | Some twig when Actree.Twigjoin.pattern_size twig <= Twigs.max_nodes -> `Twig twig
       | _ -> `General))
-  | Engine.Cq_query cq -> ( match Chains.of_cq cq with Some c -> `Chain c | None -> `General)
+  | Engine.Cq_query cq -> (
+    match chain_of_cq cq with Some pat -> `Spine (Trie.Document, pat) | None -> `General)
   | _ -> `General
 
 let add_entry t ~canon ~slot body =
@@ -196,20 +227,14 @@ let register t ~id q =
     | Some e -> e
     | None -> (
       match classify q with
-      | `Spine pat ->
-        let state = Trie.add t.trie pat in
-        let e = add_entry t ~canon ~slot:state Spine_body in
-        Trie.attach t.trie ~state ~handle:e.handle;
+      | `Spine (start, pat) ->
+        let e = add_entry t ~canon ~slot:(-1) Spine_body in
+        e.slot <- Trie.add t.trie start pat ~handle:e.handle;
         e
       | `Twig twig ->
         let slot = Twigs.add t.twigs twig in
         let e = add_entry t ~canon ~slot Twig_body in
         t.twig_entries <- put t.twig_entries slot e;
-        e
-      | `Chain c ->
-        let slot = Chains.add t.chains c in
-        let e = add_entry t ~canon ~slot Chain_body in
-        t.chain_entries <- put t.chain_entries slot e;
         e
       | `General ->
         let e = add_entry t ~canon ~slot:(-1) (General_body (Engine.prepare q)) in
@@ -246,9 +271,6 @@ let unregister t ~id =
       | Twig_body ->
         Twigs.remove t.twigs e.slot;
         t.twig_entries.(e.slot) <- vacant
-      | Chain_body ->
-        Chains.remove t.chains e.slot;
-        t.chain_entries.(e.slot) <- vacant
       | Auto_body _ -> table_remove t.autos e
       | General_body _ -> table_remove t.generals e
     end;
@@ -257,16 +279,15 @@ let unregister t ~id =
 (* ------------------------------------------------------------------ *)
 (* Matching sessions *)
 
-(* Per-document working state only: the trie pass, a pass over each
+(* Per-document working state only: the trie pass, a pass over the twig
    bank and one automaton stepper per position of the index's automaton
-   table.  The passes regrow at [reset] when their bank has grown; a
-   stepper is replaced when another automaton has moved into its
-   position. *)
+   table.  The passes regrow at the start of a document when the trie
+   or the bank has grown; a stepper is replaced when another automaton
+   has moved into its position. *)
 type session = {
   index : t;
   pass : Trie.pass;
   twigs : Twigs.t;
-  chains : Chains.t;
   mutable steppers : (Automata.Automaton.t * Automata.Automaton.stepper) array;
 }
 
@@ -275,7 +296,6 @@ let session index =
     index;
     pass = Trie.pass index.trie;
     twigs = Twigs.pass index.twigs;
-    chains = Chains.pass index.chains;
     steppers = [||];
   }
 
@@ -301,26 +321,18 @@ let match_tree s tree =
   let steppers = s.steppers in
   Trie.begin_doc s.pass;
   Twigs.reset s.twigs;
-  Chains.reset s.chains;
   Array.iter (fun (_, st) -> Automata.Automaton.reset_stepper st) steppers;
   Event.iter tree (fun ev ->
       Trie.push s.pass ev;
       Twigs.push s.twigs ev;
-      Chains.push s.chains ev;
       Array.iter (fun (_, st) -> Automata.Automaton.step st ev) steppers);
   let fired = ref [] in
   let fire counter (e : entry) =
     Obs.Counter.incr counter;
     fired := List.rev_append e.ids !fired
   in
-  List.iter
-    (fun handle ->
-      match Hashtbl.find_opt idx.by_handle handle with
-      | Some e -> fire c_fired_spine e
-      | None -> ())
-    (Trie.fired s.pass);
+  Trie.iter_fired s.pass (fun handle -> fire c_fired_spine (Hashtbl.find idx.by_handle handle));
   Twigs.iter_matched s.twigs (fun j -> fire c_fired_twig idx.twig_entries.(j));
-  Chains.iter_matched s.chains (fun j -> fire c_fired_chain idx.chain_entries.(j));
   Array.iteri
     (fun k (_, st) ->
       match Automata.Automaton.accepted st with
@@ -340,5 +352,3 @@ let match_tree s tree =
   out
 
 let doc_active_work s = Trie.doc_active_work s.pass
-
-let doc_peak_depth s = Trie.doc_peak_depth s.pass

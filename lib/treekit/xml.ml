@@ -1,11 +1,6 @@
-exception Parse_error of string
-
 type state = { input : string; mutable pos : int }
 
-let error st fmt =
-  Format.kasprintf (fun msg ->
-      raise (Parse_error (Printf.sprintf "at offset %d: %s" st.pos msg)))
-    fmt
+let error st fmt = Parse_error.raise_at st.pos fmt
 
 let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
 
@@ -91,10 +86,13 @@ let skip_misc st =
 let parse_elements st =
   let stack = ref [] in
   let completed = ref [] in
+  let first_end = ref 0 in
   let finish_element lbl kids =
     let node = Tree.Node (lbl, List.rev kids) in
     match !stack with
-    | [] -> completed := node :: !completed
+    | [] ->
+      if !completed = [] then first_end := st.pos;
+      completed := node :: !completed
     | (plbl, pkids) :: rest -> stack := (plbl, node :: pkids) :: rest
   in
   let rec go () =
@@ -139,21 +137,26 @@ let parse_elements st =
     | Some _ -> assert false
   in
   go ();
-  List.rev !completed
+  (List.rev !completed, !first_end)
 
+(* a scan that finds no element ends at the end of the input *)
 let parse_fragment s =
   let st = { input = s; pos = 0 } in
   match parse_elements st with
-  | [] -> raise (Parse_error "no element found")
-  | [ b ] -> Tree.of_builder b
-  | bs -> Tree.of_builder (Tree.Node ("#root", bs))
+  | [], _ -> error st "no element found"
+  | [ b ], _ -> Tree.of_builder b
+  | bs, _ -> Tree.of_builder (Tree.Node ("#root", bs))
 
 let parse s =
   let st = { input = s; pos = 0 } in
   match parse_elements st with
-  | [ b ] -> Tree.of_builder b
-  | [] -> raise (Parse_error "no element found")
-  | _ -> raise (Parse_error "multiple root elements (use parse_fragment)")
+  | [ b ], _ -> Tree.of_builder b
+  | [], _ -> error st "no element found"
+  | _, first_end ->
+    (* point at the second root: past whatever follows the first *)
+    st.pos <- first_end;
+    skip_misc st;
+    error st "multiple root elements (use parse_fragment)"
 
 let to_string t =
   let buf = Buffer.create (Tree.size t * 8) in

@@ -7,18 +7,17 @@
     declaration are skipped.  This is not a validating parser — it is the
     substrate needed to feed documents to the query engines. *)
 
-exception Parse_error of string
-(** Raised with a human-readable message (including position) on input that
-    is not well-formed under the supported subset. *)
-
 val parse : string -> Tree.t
 (** [parse s] parses an XML document (one root element) into a tree whose
     node labels are the tag names.
-    @raise Parse_error on malformed input. *)
+    @raise Parse_error.Error at the offending offset on input that is not
+    well-formed under the supported subset: at the end of the input when
+    it holds no element, at the second root when it holds several. *)
 
 val parse_fragment : string -> Tree.t
 (** Like {!parse}, but if the input contains several top-level elements they
-    are wrapped under a synthetic root labeled ["#root"]. *)
+    are wrapped under a synthetic root labeled ["#root"].
+    @raise Parse_error.Error as {!parse} does. *)
 
 val to_string : Tree.t -> string
 (** Serialise a tree back to XML (tags only, [<a/>] for leaves). *)

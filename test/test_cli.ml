@@ -177,3 +177,10 @@ let suite =
               ~cmd:(fun rest -> [ "eval"; "--random"; "10" ] @ rest)
               lang args ~expect_msg))
       bad_query_texts
+  @ [
+      Alcotest.test_case "eval XML parse error is positioned" `Quick (fun () ->
+          check_rejects
+            ~cmd:(fun rest -> [ "eval"; "--xpath"; "//a" ] @ rest)
+            "--xml" [ "--xml"; "<a/> <b/>" ]
+            ~expect_msg:"at offset 5: multiple root elements");
+    ]

@@ -13,61 +13,86 @@ module E = Treequery.Engine
 (* ------------------------------------------------------------------ *)
 (* trie vs individual matchers *)
 
-let trie_match trie handles t =
-  let p = Trie.pass trie in
-  Trie.begin_doc p;
-  Event.iter t (Trie.push p);
-  ignore handles;
-  List.sort compare (Trie.fired p)
+let fired p =
+  let acc = ref [] in
+  Trie.iter_fired p (fun h -> acc := h :: !acc);
+  List.sort compare !acc
 
+let trie_match trie t =
+  let p = Trie.pass trie in
+  Event.iter t (Trie.push p);
+  fired p
+
+(* random patterns over all three edges; [PP.random] draws only / and
+   //, so the following edges come from here *)
+let pattern_gen =
+  QCheck2.Gen.(
+    let* length = int_range 1 4 in
+    list_repeat length
+      (let* edge = oneofl [ PP.Child; PP.Descendant; PP.Following ] in
+       let* label = oneofl [ None; Some "a"; Some "b"; Some "c" ] in
+       return { PP.edge; label }))
+
+(* the patterns after the first [dropped] have been added and detached
+   again, so the trie must have freed what only they used *)
 let prop_trie_equals_matchers =
   qtest ~count:300 "merged trie = one Path_matcher per pattern"
     QCheck2.Gen.(
-      let* seed = int_range 0 50_000 in
+      let* pats = list_size (int_range 1 10) pattern_gen in
+      let* dropped = int_range 0 3 in
       let* tseed = int_range 0 50_000 in
-      let* k = int_range 1 10 in
       let* n = int_range 1 50 in
-      let pats =
-        List.init k (fun i ->
-            PP.random ~seed:(seed + i) ~length:(1 + (i mod 4))
-              ~labels:Generator.labels_abc ())
-      in
-      return (pats, random_tree ~seed:tseed ~n ()))
-    (fun (pats, t) ->
+      return (pats, dropped, random_tree ~seed:tseed ~n ()))
+    (fun (pats, dropped, t) ->
       let trie = Trie.create () in
-      List.iteri
-        (fun i p -> Trie.attach trie ~state:(Trie.add trie p) ~handle:i)
-        pats;
-      let got = trie_match trie pats t in
+      let states = List.mapi (fun i p -> Trie.add trie Trie.Root p ~handle:i) pats in
+      List.iteri (fun i state -> if i < dropped then Trie.detach trie ~state ~handle:i) states;
+      let fresh = Trie.create () in
+      List.iteri (fun i p -> if i >= dropped then ignore (Trie.add fresh Trie.Root p ~handle:i)) pats;
       let want =
-        List.concat (List.mapi (fun i p -> if PM.matches t p then [ i ] else []) pats)
+        List.concat (List.mapi (fun i p -> if i >= dropped && PM.matches t p then [ i ] else []) pats)
       in
-      got = List.sort compare want)
+      trie_match trie t = want && Trie.states trie = Trie.states fresh)
 
 let test_trie_prefix_sharing () =
   let trie = Trie.create () in
-  let s1 = Trie.add trie (PP.of_string "//a/b/c") in
-  let s2 = Trie.add trie (PP.of_string "//a/b/d") in
-  let s3 = Trie.add trie (PP.of_string "//a/b/c") in
+  let add h s = Trie.add trie Trie.Root (PP.of_string s) ~handle:h in
+  let s1 = add 1 "//a/b/c" in
+  let s2 = add 2 "//a/b/d" in
+  let s3 = add 3 "//a/b/c" in
   Alcotest.(check int) "identical spines share a terminal" s1 s3;
   Alcotest.(check bool) "distinct suffixes diverge" true (s1 <> s2);
   (* root + a + b + c + d: prefixes //a/b shared *)
-  Alcotest.(check int) "states bounded by distinct prefixes" 5 (Trie.states trie)
+  Alcotest.(check int) "states bounded by distinct prefixes" 5 (Trie.states trie);
+  Trie.detach trie ~state:s2 ~handle:2;
+  Alcotest.(check int) "an unshared suffix is freed" 4 (Trie.states trie);
+  Trie.detach trie ~state:s1 ~handle:1;
+  Alcotest.(check int) "a terminal another spine holds stays" 4 (Trie.states trie);
+  Alcotest.(check int) "a freed id is reused" s2 (add 4 "//e");
+  Trie.detach trie ~state:s3 ~handle:3;
+  Alcotest.(check int) "what only the last spine held is freed" 2 (Trie.states trie);
+  let c = Trie.add trie Trie.Document (PP.of_string "//e") ~handle:5 in
+  Alcotest.(check int) "a spine from the document node shares nothing with one from the root" 4
+    (Trie.states trie);
+  Trie.detach trie ~state:c ~handle:5;
+  Alcotest.(check int) "the document start goes with its last spine" 2 (Trie.states trie);
+  Alcotest.check_raises "a detached handle"
+    (Invalid_argument "Subscribe.Trie.detach: handle not attached") (fun () ->
+      Trie.detach trie ~state:s3 ~handle:3)
 
 let test_trie_pass_reuse_across_growth () =
   (* a pooled pass must survive trie growth between documents *)
   let trie = Trie.create () in
-  Trie.attach trie ~state:(Trie.add trie (PP.of_string "//a")) ~handle:0;
+  ignore (Trie.add trie Trie.Root (PP.of_string "//a") ~handle:0);
   let p = Trie.pass trie in
   let t = Xml.parse "<r><a><b/></a></r>" in
   Trie.begin_doc p;
   Event.iter t (Trie.push p);
-  Alcotest.(check (list int)) "first doc" [ 0 ] (List.sort compare (Trie.fired p));
-  Trie.attach trie ~state:(Trie.add trie (PP.of_string "//a/b")) ~handle:1;
+  Alcotest.(check (list int)) "first doc" [ 0 ] (fired p);
+  ignore (Trie.add trie Trie.Root (PP.of_string "//a/b") ~handle:1);
   Trie.begin_doc p;
   Event.iter t (Trie.push p);
-  Alcotest.(check (list int)) "after growth" [ 0; 1 ]
-    (List.sort compare (Trie.fired p))
+  Alcotest.(check (list int)) "after growth" [ 0; 1 ] (fired p)
 
 (* ------------------------------------------------------------------ *)
 (* registry semantics *)
@@ -290,13 +315,13 @@ let suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* the chain class *)
+(* chain CQs, which register as spines leaving the document node *)
 
-module Chains = Streamq.Chain_matcher
 module Q = Cqtree.Query
 
 (* a chain CQ of 1–4 atoms over child, descendant and following, each
-   variable tested for a, b or c, or not at all *)
+   variable tested for a, b or c, or not at all, with the spine it
+   stands for *)
 let chain_cq_gen =
   QCheck2.Gen.(
     let* k = int_range 1 4 in
@@ -307,68 +332,85 @@ let chain_cq_gen =
       List.concat (List.mapi (fun i -> function Some l -> [ Q.U (Q.Lab l, var i) ] | None -> []) tests)
     in
     let edges = List.mapi (fun i a -> Q.A (a, var i, var (i + 1))) axes in
-    return { Q.head = []; atoms = labels @ edges })
+    let edge = function Axis.Child -> PP.Child | Axis.Descendant -> PP.Descendant | _ -> PP.Following in
+    let spine =
+      List.map2 (fun e label -> { PP.edge = e; label }) (PP.Descendant :: List.map edge axes) tests
+    in
+    return ({ Q.head = []; atoms = labels @ edges }, spine))
 
-(* a bank of random chains against one-at-a-time evaluation; the pass
+(* random chains against one-at-a-time evaluation, through the index
+   (which must recognise each as a chain) and through a trie pass that
    first sees a stream cut after [cut] events, so its reset must equal
    a fresh pass *)
-let prop_chain_bank =
-  qtest ~count:300 "chain bank = Engine.eval_boolean; reset = fresh pass"
+let prop_chains_in_index =
+  qtest ~count:300 "chain CQs in the index = Engine.eval_boolean; reset = fresh pass"
     QCheck2.Gen.(
       let* k = int_range 1 6 in
-      let* qs = list_repeat k chain_cq_gen in
+      let* chains = list_repeat k chain_cq_gen in
       let* s1 = int_range 0 50_000 in
       let* s2 = int_range 0 50_000 in
       let* n1 = int_range 1 60 in
       let* n2 = int_range 1 60 in
       let* cut = int_range 0 (2 * n1) in
-      return (qs, random_tree ~seed:s1 ~n:n1 (), cut, random_tree ~seed:s2 ~n:n2 ()))
-    (fun (qs, t1, cut, t2) ->
-      let bank = Chains.bank () in
-      let slots = List.map (fun q -> Chains.add bank (Option.get (Chains.of_cq q))) qs in
-      let p = Chains.pass bank in
-      List.iteri (fun i ev -> if i < cut then Chains.push p ev) (Event.to_list t1);
-      Chains.reset p;
-      Event.iter t2 (Chains.push p);
-      let fresh = Chains.pass bank in
-      Event.iter t2 (Chains.push fresh);
-      List.for_all2
-        (fun q j ->
-          let want = E.eval_boolean (E.Cq_query q) t2 in
-          Chains.matched p j = want && Chains.matched fresh j = want)
-        qs slots)
+      return (chains, random_tree ~seed:s1 ~n:n1 (), cut, random_tree ~seed:s2 ~n:n2 ()))
+    (fun (chains, t1, cut, t2) ->
+      let want =
+        List.concat (List.mapi (fun i (q, _) -> if E.eval_boolean (E.Cq_query q) t2 then [ i ] else []) chains)
+      in
+      let idx = Index.create () in
+      let classes = List.mapi (fun id (q, _) -> Index.register idx ~id (E.Cq_query q)) chains in
+      let trie = Trie.create () in
+      List.iteri (fun i (_, spine) -> ignore (Trie.add trie Trie.Document spine ~handle:i)) chains;
+      let p = Trie.pass trie in
+      List.iteri (fun i ev -> if i < cut then Trie.push p ev) (Event.to_list t1);
+      Trie.begin_doc p;
+      Event.iter t2 (Trie.push p);
+      List.for_all (fun c -> c = Index.Spine) classes
+      && Index.match_tree (Index.session idx) t2 = want
+      && fired p = want
+      && trie_match trie t2 = want)
 
+(* every CQ of the serving workload is a chain, so it streams *)
 let test_workload_cqs_are_chains () =
   let rng = Random.State.make [| 22 |] in
   let idx = Index.create () in
   for id = 0 to 499 do
     let text = Serve.Workload.gen_cq rng in
-    if Index.register idx ~id (E.parse_cq text) = Index.General then
-      Alcotest.failf "%s registers as general" text
+    if Index.register idx ~id (E.parse_cq text) <> Index.Spine then
+      Alcotest.failf "%s does not register as a spine" text
   done;
   Alcotest.(check int) "no general entry" 0 (List.assoc "general" (Index.class_counts idx));
-  Alcotest.(check bool) "chain entries" true (List.assoc "chain" (Index.class_counts idx) > 0)
+  Alcotest.(check bool) "spine entries" true (List.assoc "spine" (Index.class_counts idx) > 0)
 
 (* distinct chains for i < 9000: i's mixed-radix digits pick the axes
    and labels *)
+let chain_vocab =
+  [| "site"; "regions"; "item"; "name"; "description"; "people"; "person"; "open_auction";
+     "bidder"; "increase" |]
+
+let chain_digits i = ([| i / 900 mod 10; i / 3 mod 10; i / 90 mod 10 |], [| i mod 3; i / 30 mod 3 |])
+
 let chain_text i =
-  let vocab =
-    [| "site"; "regions"; "item"; "name"; "description"; "people"; "person"; "open_auction";
-       "bidder"; "increase" |]
-  in
+  let l, a = chain_digits i in
   let axes = [| "child"; "descendant"; "following" |] in
   Printf.sprintf
     "q(X0) :- lab(X0, \"%s\"), %s(X0, X1), lab(X1, \"%s\"), %s(X1, X2), lab(X2, \"%s\")"
-    vocab.(i / 900 mod 10) axes.(i mod 3) vocab.(i / 3 mod 10) axes.(i / 30 mod 3)
-    vocab.(i / 90 mod 10)
+    chain_vocab.(l.(0)) axes.(a.(0)) chain_vocab.(l.(1)) axes.(a.(1)) chain_vocab.(l.(2))
 
 let chain_query i = E.parse_cq (chain_text i)
+
+(* the spine chain [i] registers as *)
+let chain_spine i =
+  let l, a = chain_digits i in
+  let edges = [| PP.Child; PP.Descendant; PP.Following |] in
+  let step edge k = { PP.edge; label = Some chain_vocab.(l.(k)) } in
+  [ step PP.Descendant 0; step edges.(a.(0)) 1; step edges.(a.(1)) 2 ]
 
 (* churn cost: a host-independent allocation gate.  Minor words of one
    register + unregister + match_tree on a fixed document, less those of
    match_tree alone, with [live] chains registered: patching the index
    costs the entry, not the population.  The least of three rounds, so
-   a hash-table or bank resize in the first does not count. *)
+   a hash-table or array resize in the first does not count. *)
 let churn_words ~live =
   let idx = Index.create () in
   for id = 0 to live - 1 do
@@ -404,7 +446,8 @@ let test_churn_allocation_gate () =
 
 (* the audit of per-registration state: after many distinct
    register/unregister pairs over every class, each class's compiled
-   slots equal its live entries *)
+   slots equal its live entries, and the trie holds the states and does
+   the work of a fresh index's *)
 let test_slots_follow_live_entries () =
   let idx = Index.create () in
   let s = Index.session idx in
@@ -433,24 +476,30 @@ let test_slots_follow_live_entries () =
     "slots = live entries"
     (List.filter (fun (c, _) -> c <> "spine") counts)
     (Index.slots idx);
-  Alcotest.(check int) "chain slots" (20 + 4) (List.assoc "chain" (Index.slots idx));
-  let want =
-    List.init 40 Fun.id @ List.init 8 (fun k -> 1592 + k)
-    |> List.filter (fun id ->
-           let q = if id < 40 then query id else query (100 + id - 1000) in
-           E.eval_boolean q doc)
-  in
-  Alcotest.(check (list int)) "fired = one-at-a-time" want (Index.match_tree s doc)
+  Alcotest.(check int) "chain spines" (20 + 4) (List.assoc "spine" counts);
+  let live = List.init 40 (fun id -> (id, query id)) @ List.init 8 (fun k -> (1592 + k, query (692 + k))) in
+  let want = List.filter_map (fun (id, q) -> if E.eval_boolean q doc then Some id else None) live in
+  Alcotest.(check (list int)) "fired = one-at-a-time" want (Index.match_tree s doc);
+  let fresh = Index.create () in
+  List.iter (fun (id, q) -> ignore (Index.register fresh ~id q)) live;
+  let fs = Index.session fresh in
+  Alcotest.(check (list int)) "fired = a fresh index's" want (Index.match_tree fs doc);
+  Alcotest.(check int) "trie states = a fresh index's" (Index.trie_states fresh) (Index.trie_states idx);
+  Alcotest.(check int) "trie work = a fresh index's" (Index.doc_active_work fs) (Index.doc_active_work s)
 
-(* both banks allocate nothing per event: after a warm-up document has
-   grown the depth rows, pushing 10 more documents' events allocates no
-   more than reading the clock of minor words does *)
-let test_banks_allocate_nothing_per_event () =
+(* the trie pass and the twig bank allocate nothing per event: after a
+   warm-up document has grown the frames, pushing 10 more documents'
+   events allocates no more than reading the clock of minor words does *)
+let test_passes_allocate_nothing_per_event () =
   let doc = Generator.xmark ~seed:9 ~scale:8 () in
   let events = Array.of_list (Event.to_list doc) in
-  let chains = Chains.bank () in
+  let trie = Trie.create () in
   for i = 0 to 199 do
-    ignore (Chains.add chains (Option.get (Chains.of_cq (Q.of_string (chain_text i)))))
+    ignore (Trie.add trie Trie.Document (chain_spine i) ~handle:i)
+  done;
+  let rng = Random.State.make [| 9 |] in
+  for i = 0 to 99 do
+    ignore (Trie.add trie Trie.Root (PP.random ~rng ~length:3 ~labels:chain_vocab ()) ~handle:(200 + i))
   done;
   let twigs = Streamq.Twig_matcher.bank ~anchored:true () in
   for i = 0 to 99 do
@@ -459,7 +508,7 @@ let test_banks_allocate_nothing_per_event () =
     | Some t -> ignore (Streamq.Twig_matcher.add twigs t)
     | None -> Alcotest.fail "not a twig"
   done;
-  let cp = Chains.pass chains and tp = Streamq.Twig_matcher.pass twigs in
+  let p = Trie.pass trie and tp = Streamq.Twig_matcher.pass twigs in
   let words push reset =
     reset ();
     Array.iter push events;
@@ -472,19 +521,19 @@ let test_banks_allocate_nothing_per_event () =
     done;
     Gc.minor_words () -. w0
   in
-  let cw = words (Chains.push cp) (fun () -> Chains.reset cp) in
+  let pw = words (Trie.push p) (fun () -> Trie.begin_doc p) in
   let tw = words (Streamq.Twig_matcher.push tp) (fun () -> Streamq.Twig_matcher.reset tp) in
-  if cw > 16.0 || tw > 16.0 then
-    Alcotest.failf "%d events allocated %.0f words in the chain bank, %.0f in the twig bank"
-      (10 * Array.length events) cw tw
+  if pw > 16.0 || tw > 16.0 then
+    Alcotest.failf "%d events allocated %.0f words in the trie pass, %.0f in the twig bank"
+      (10 * Array.length events) pw tw
 
 let suite =
   suite
   @ [
-      prop_chain_bank;
+      prop_chains_in_index;
       Alcotest.test_case "workload CQs register as chains" `Quick test_workload_cqs_are_chains;
       Alcotest.test_case "churn allocation gate" `Quick test_churn_allocation_gate;
       Alcotest.test_case "slots follow live entries" `Quick test_slots_follow_live_entries;
-      Alcotest.test_case "banks allocate nothing per event" `Quick
-        test_banks_allocate_nothing_per_event;
+      Alcotest.test_case "trie pass and twig bank allocate nothing per event" `Quick
+        test_passes_allocate_nothing_per_event;
     ]

@@ -223,16 +223,19 @@ let test_xml_attr_with_gt () =
   let t = Xml.parse "<r><a title=\"x > y\"/></r>" in
   Alcotest.(check int) "size" 2 (Tree.size t)
 
+(* every reader error is positioned *)
 let test_xml_errors () =
-  let bad input =
+  let offset input =
     match Xml.parse input with
-    | exception Xml.Parse_error _ -> true
-    | _ -> false
+    | exception Parse_error.Error { pos; _ } -> pos
+    | _ -> -1
   in
-  Alcotest.(check bool) "mismatch" true (bad "<a><b></a></b>");
-  Alcotest.(check bool) "unclosed" true (bad "<a><b>");
-  Alcotest.(check bool) "empty" true (bad "   ");
-  Alcotest.(check bool) "two roots rejected" true (bad "<a/><b/>")
+  Alcotest.(check int) "mismatch: after the closing tag" 10 (offset "<a><b></a></b>");
+  Alcotest.(check int) "unclosed: at the end" 6 (offset "<a><b>");
+  Alcotest.(check int) "empty: at the end" 3 (offset "   ");
+  Alcotest.(check int) "two roots: at the second" 5 (offset "<a/> <b/>");
+  Alcotest.(check int) "fragment, empty: at the end" 7
+    (match Xml.parse_fragment "<!---->" with exception Parse_error.Error { pos; _ } -> pos | _ -> -1)
 
 let test_xml_fragment () =
   let t = Xml.parse_fragment "<a/><b/>" in
